@@ -89,13 +89,14 @@ def _starts(cfg: dict, model: str):
 
 
 def _budgets(cfg: dict, args) -> dynamics.Budgets:
-    n_max = args.n_max or cfg.get("n_max", 100_000)
+    default = dynamics.Budgets()
+    n_max = args.n_max or cfg.get("n_max", default.n_max)
     tol = cfg.get("tolerances", {})
     return dynamics.Budgets(
         n_max=int(n_max),
-        tol_c=float(tol.get("tol_c", 1e-3)),
-        tol_dw=float(tol.get("tol_dw", dynamics.Budgets.tol_dw)),
-        tol_step=float(tol.get("tol_step", 1e-3)),
+        tol_c=float(tol.get("tol_c", default.tol_c)),
+        tol_dw=float(tol.get("tol_dw", default.tol_dw)),
+        tol_step=float(tol.get("tol_step", default.tol_step)),
     )
 
 

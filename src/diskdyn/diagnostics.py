@@ -111,7 +111,9 @@ def approach_report(
     k = max(2, int(round(n * tail_fraction)))
     if not (bdist[-1] < bdist[-k] or bdist[-1] < 1e-9) or bdist[-1] > 0.5:
         raise PreconditionError("orbit does not converge to the vertex X")
-    sp_t, ko_t, nt_t, an_t, eu_t = (a[-k:] for a in (special, koranyi, nt, angle, euclid))
+    # copies: a tail view would keep the orbit's full-length series alive for
+    # as long as the report lives
+    sp_t, ko_t, nt_t, an_t, eu_t = (a[-k:].copy() for a in (special, koranyi, nt, angle, euclid))
     ko_sup = float(ko_t.max())
     is_special = float(sp_t.mean()) < tol_ratio
     is_restricted = is_special and float(nt_t.max()) < m_cap
@@ -214,9 +216,12 @@ def theorem_harness(
     """
     budgets = budgets or Budgets()
     rows = []
+    reports = {}  # a spec that recurs in the suite is classified once
     for spec, start in suite:
         label = _spec_label(spec)
-        rep = classify(spec, budgets=Budgets(n_max=classify_n_max))
+        if spec not in reports:
+            reports[spec] = classify(spec, budgets=Budgets(n_max=classify_n_max))
+        rep = reports[spec]
         if rep.type != "parabolic":
             rows.append(
                 HarnessRow(label, start, rep.type, None, None, None, None, None,

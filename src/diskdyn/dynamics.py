@@ -22,6 +22,7 @@ __all__ = [
     "StepSeries",
     "ClassificationReport",
     "iterate",
+    "iterate_batch",
     "step_series",
     "estimate_denjoy_wolff",
     "estimate_multiplier",
@@ -105,39 +106,39 @@ def default_starts(model: str):
 # ---------------------------------------------------------------------------
 # iteration
 
+# ball/Siegel orbits: the stopping checks run once per block of this many
+# steps, vectorized over the block, instead of once per step
+_BLOCK = 256
+# the fixed-point test is only a stopping shortcut, made every this many steps
+_FP_STRIDE = 16
+# the block screen widens every threshold by this relative slack, so that its
+# vectorized rounding can only add candidate steps for the exact per-step
+# check, never hide a step where that check stops.  Two orders of summing the
+# 2N squares of a point differ by about 4N ulps, far below it for N < 1000;
+# a wider slack would flag every late step of a Heisenberg orbit, whose
+# Re z and ||w||^2 both grow like n^2 while their difference stays fixed
+_SLACK = 1e-12
+
 
 def iterate(spec, start, n_max: int, policy: StoppingPolicy | None = None) -> Orbit:
     """Forward orbit z_0, f(z_0), f_2(z_0), ... with at most n_max steps."""
     policy = policy or StoppingPolicy()
     model = spec.model
-    planar = model in maps.PLANAR
-    if planar:
-        cur = complex(start)
-        buf = np.empty(n_max + 1, np.complex128)
-    else:
-        cur = np.array(start, np.complex128).reshape(-1)
-        buf = np.empty((n_max + 1, cur.size), np.complex128)
+    if model not in maps.PLANAR:
+        return _iterate_blocks(spec, start, n_max, policy)
+    cur = complex(start)
+    buf = np.empty(n_max + 1, np.complex128)
     if maps.domain_margin(model, cur) <= 0.0:
         raise DomainError(f"start lies outside the {model} domain")
     buf[0] = cur
     stop = "max_iter"
     count = 1
-    bounded = model in ("disk", "ball")
-    # the fixed-point test is only a stopping shortcut; checking ball/Siegel
-    # orbits every 16 steps keeps the hot loop free of extra array work
-    fp_stride = 1 if planar else 16
     for k in range(n_max):
         nxt = spec(cur)
-        if planar:
-            if model == "disk":
-                margin = 1.0 - (nxt.real * nxt.real + nxt.imag * nxt.imag)
-            else:
-                margin = nxt.real
-        elif model == "siegel":
-            w = nxt[1:]
-            margin = nxt[0].real - float(np.vdot(w, w).real)
-        else:  # ball
-            margin = 1.0 - float(np.vdot(nxt, nxt).real)
+        if model == "disk":
+            margin = 1.0 - (nxt.real * nxt.real + nxt.imag * nxt.imag)
+        else:
+            margin = nxt.real
         if not margin > 0.0:
             if margin != margin:  # NaN
                 stop = "numeric_failure"
@@ -149,25 +150,115 @@ def iterate(spec, start, n_max: int, policy: StoppingPolicy | None = None) -> Or
             )
         buf[count] = nxt
         count += 1
-        if bounded:
-            if margin < policy.boundary_gap:  # margin is 1 - ||.||^2 here
-                cur = nxt
+        if model == "disk":
+            if margin < policy.boundary_gap:  # margin is 1 - |.|^2 here
                 stop = "boundary_proximity"
                 break
-        else:
-            mag = abs(nxt if planar else nxt[0])
-            if mag > policy.max_magnitude:
-                cur = nxt
-                stop = "boundary_proximity"
-                break
-        if k % fp_stride == 0:
-            disp = abs(nxt - cur) if planar else float(np.abs(nxt - cur).max())
-            if disp < policy.fixed_point_tol:
-                cur = nxt
-                stop = "interior_fixed_point"
-                break
+        elif abs(nxt) > policy.max_magnitude:
+            stop = "boundary_proximity"
+            break
+        if abs(nxt - cur) < policy.fixed_point_tol:
+            stop = "interior_fixed_point"
+            break
         cur = nxt
     return Orbit(spec, model, start, buf[:count].copy(), stop)
+
+
+def iterate_batch(spec, starts, n_max: int, policy: StoppingPolicy | None = None) -> list:
+    """Forward orbits of several starts, one ``iterate`` Orbit per start, in order.
+
+    The first start whose orbit fails raises, as a loop over ``iterate`` would.
+    """
+    return [iterate(spec, s, n_max, policy) for s in starts]
+
+
+def _iterate_blocks(spec, start, n_max: int, policy: StoppingPolicy) -> Orbit:
+    """The ball/Siegel branch of ``iterate``, checked once per block of steps.
+
+    The map steps the point through a whole block first; a vectorized screen
+    then flags every step of the block that might stop, and only those steps
+    go through the per-step rule of ``_check_step``.  The orbit is the one a
+    per-step check would give, and its points are a view of the buffer.
+    """
+    model = spec.model
+    cur = np.array(start, np.complex128).reshape(-1)
+    if maps.domain_margin(model, cur) <= 0.0:
+        raise DomainError(f"start lies outside the {model} domain")
+    buf = np.empty((n_max + 1, cur.size), np.complex128)
+    buf[0] = cur
+    t = 0
+    while t < n_max:
+        end = min(t + _BLOCK, n_max)
+        exc = None
+        for j in range(t + 1, end + 1):
+            try:
+                cur = spec(cur)
+                buf[j] = cur
+            except Exception as err:  # raised only if no earlier step stops
+                exc, end = err, j - 1
+                break
+        block = buf[t : end + 1]
+        for i in np.flatnonzero(~_screen(model, policy, block, t)).tolist():
+            reason, kept = _check_step(model, policy, block[i + 1], block[i], t + i)
+            if reason is not None:
+                return Orbit(spec, model, start, buf[: t + i + 1 + kept], reason)
+        if exc is not None:
+            raise exc
+        t = end
+    return Orbit(spec, model, start, buf, "max_iter")
+
+
+def _screen(model: str, policy: StoppingPolicy, pts, t: int):
+    """(m,) mask of the steps of pts that certainly pass _check_step.
+
+    pts is (m + 1, N) and its point i is point t + i of the orbit.
+    """
+    nxt, cur = pts[1:], pts[:-1]
+    if model == "siegel":
+        x, w = nxt[..., 0].real, nxt[..., 1:]
+    else:
+        x, w = 1.0, nxt
+    q = (w.real**2 + w.imag**2).sum(axis=-1)
+    margin = x - q
+    slack = _SLACK * (np.abs(x) + q)
+    clear = margin > slack
+    if model == "ball":
+        clear &= margin >= policy.boundary_gap + slack
+    else:
+        clear &= np.abs(nxt[..., 0]) <= policy.max_magnitude * (1.0 - _SLACK)
+    first = -t % _FP_STRIDE
+    disp = np.abs(nxt[first::_FP_STRIDE] - cur[first::_FP_STRIDE]).max(axis=-1)
+    clear[first::_FP_STRIDE] &= disp >= policy.fixed_point_tol * (1.0 + _SLACK)
+    return clear
+
+
+def _check_step(model: str, policy: StoppingPolicy, nxt, cur, k: int):
+    """The stopping rule for step k, from cur to nxt, of a ball/Siegel orbit.
+
+    Returns (stop reason or None, whether nxt belongs to the orbit); raises
+    EvaluationError when nxt left the domain.
+    """
+    if model == "siegel":
+        w = nxt[1:]
+        margin = nxt[0].real - float(np.vdot(w, w).real)
+    else:  # ball
+        margin = 1.0 - float(np.vdot(nxt, nxt).real)
+    if not margin > 0.0:
+        if margin != margin:  # NaN
+            return "numeric_failure", False
+        raise EvaluationError(
+            f"orbit left the {model} domain at step {k + 1}",
+            index=k + 1,
+            margin=float(margin),
+        )
+    if model == "ball":
+        if margin < policy.boundary_gap:  # margin is 1 - ||.||^2 here
+            return "boundary_proximity", True
+    elif abs(nxt[0]) > policy.max_magnitude:
+        return "boundary_proximity", True
+    if k % _FP_STRIDE == 0 and float(np.abs(nxt - cur).max()) < policy.fixed_point_tol:
+        return "interior_fixed_point", True
+    return None, True
 
 
 _STEP_FN = {
@@ -238,14 +329,13 @@ def estimate_denjoy_wolff(spec, starts, n_max: int = 100_000, tol_dw: float = 1e
     """
     if len(starts) < 2:
         raise PreconditionError("need at least 2 distinct starts")
-    finals = []
-    interior_hits = 0
-    for s in starts:
-        orb = iterate(spec, s, n_max)
-        finals.append(_closure_coords(spec.model, orb.points[-1]))
-        if orb.stop_reason == "interior_fixed_point":
-            interior_hits += 1
-    finals = np.array(finals)
+    return _common_limit(spec.model, iterate_batch(spec, starts, n_max), tol_dw)
+
+
+def _common_limit(model: str, orbits, tol_dw: float):
+    """estimate_denjoy_wolff from orbits already computed."""
+    finals = np.array([_closure_coords(model, orb.points[-1]) for orb in orbits])
+    interior_hits = sum(orb.stop_reason == "interior_fixed_point" for orb in orbits)
     spread = max(
         float(np.linalg.norm(finals[i] - finals[j]))
         for i in range(len(finals))
@@ -258,7 +348,7 @@ def estimate_denjoy_wolff(spec, starts, n_max: int = 100_000, tol_dw: float = 1e
         )
     p = finals.mean(axis=0)
     nrm = float(np.linalg.norm(p))
-    if interior_hits == len(starts) and nrm < 1.0 - tol_dw:
+    if interior_hits == len(orbits) and nrm < 1.0 - tol_dw:
         return p, "interior"
     return p, "boundary"
 
@@ -358,8 +448,10 @@ def classify(spec, starts=None, budgets: Budgets | None = None) -> Classificatio
             ):
                 starts.append(extra)
     notes = []
+    # one orbit per start serves both the Denjoy-Wolff point and the multiplier
+    orbits = iterate_batch(spec, starts, budgets.n_max)
     try:
-        p, location = estimate_denjoy_wolff(spec, starts, budgets.n_max, budgets.tol_dw)
+        p, location = _common_limit(spec.model, orbits, budgets.tol_dw)
     except EstimationError as exc:
         notes.append(str(exc))
         fp = _midpoint_fixed_point(spec, starts[0])
@@ -380,8 +472,7 @@ def classify(spec, starts=None, budgets: Budgets | None = None) -> Classificatio
         return ClassificationReport(native, "interior", min(c, 1.0), "elliptic", tuple(notes))
 
     values = []
-    for s in starts:
-        orb = iterate(spec, s, budgets.n_max)
+    for orb in orbits:
         est = estimate_multiplier(spec, orb, budgets.tail_fraction)
         if est.clipped:
             notes.append(f"multiplier estimate {est.raw:.6g} clipped to 1")

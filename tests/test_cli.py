@@ -1,10 +1,11 @@
 import json
 import os
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from diskdyn import cli
+from diskdyn import cli, dynamics
 
 
 def run(tmp_path, command, cfg=None, extra=()):
@@ -146,3 +147,18 @@ def test_bad_config_file(tmp_path):
 def test_unknown_family_is_usage_error(tmp_path):
     cfg = {"map": {"family": "NoSuchFamily"}}
     assert run(tmp_path, "classify", cfg) == cli.EXIT_USAGE
+
+
+def test_budgets_default_to_dynamics_budgets(monkeypatch):
+    args = cli.build_parser().parse_args(["classify", "--config", "config.json"])
+    assert cli._budgets({}, args) == dynamics.Budgets()
+
+    @dataclass(frozen=True)
+    class Other(dynamics.Budgets):
+        n_max: int = 7
+        tol_c: float = 0.25
+        tol_dw: float = 0.5
+        tol_step: float = 0.125
+
+    monkeypatch.setattr(dynamics, "Budgets", Other)
+    assert cli._budgets({}, args) == Other()

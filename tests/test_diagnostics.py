@@ -114,3 +114,21 @@ def test_probe_rejects_non_parabolic():
 def test_probe_needs_five_starts():
     with pytest.raises(PreconditionError):
         diagnostics.conjecture_probe(maps.HalfplaneAffine(1.0, 1.0), starts=[1.0, 2.0])
+
+
+def test_harness_classifies_each_distinct_spec_once(monkeypatch):
+    suite = diagnostics.default_harness_suite(0)
+    seen = []
+    real = diagnostics.classify
+
+    def counted(spec, *args, **kwargs):
+        seen.append(spec)
+        return real(spec, *args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "classify", counted)
+    rep = diagnostics.theorem_harness(suite, budgets=Budgets(n_max=1_000), classify_n_max=1_000)
+    assert len(seen) == len(set(seen)) == 23
+    assert len(rep.rows) == len(suite) == 37
+    for row, (spec, start) in zip(rep.rows, suite):
+        assert row.start is start
+        assert row.label == diagnostics._spec_label(spec)

@@ -3,7 +3,7 @@ import pytest
 
 from diskdyn import dynamics, maps
 from diskdyn.dynamics import Budgets, StoppingPolicy
-from diskdyn.errors import DomainError, EstimationError, PreconditionError
+from diskdyn.errors import DomainError, EstimationError, EvaluationError, PreconditionError
 
 
 def test_iterate_stops_at_max_iter():
@@ -168,3 +168,255 @@ def test_default_starts_inside_domain():
     for model in maps.MODELS:
         for s in dynamics.default_starts(model):
             assert maps.domain_margin(model, s) > 0.0
+
+
+# ---------------------------------------------------------------------------
+# ball/Siegel orbit engine against the per-step loop it replaced
+
+
+def reference_orbit(spec, start, n_max, policy=None):
+    """The per-step ball/Siegel loop of iterate before block checking; (points, stop)."""
+    policy = policy or StoppingPolicy()
+    model = spec.model
+    cur = np.array(start, np.complex128).reshape(-1)
+    buf = np.empty((n_max + 1, cur.size), np.complex128)
+    if maps.domain_margin(model, cur) <= 0.0:
+        raise DomainError(f"start lies outside the {model} domain")
+    buf[0] = cur
+    stop = "max_iter"
+    count = 1
+    for k in range(n_max):
+        nxt = spec(cur)
+        if model == "siegel":
+            w = nxt[1:]
+            margin = nxt[0].real - float(np.vdot(w, w).real)
+        else:  # ball
+            margin = 1.0 - float(np.vdot(nxt, nxt).real)
+        if not margin > 0.0:
+            if margin != margin:  # NaN
+                stop = "numeric_failure"
+                break
+            raise EvaluationError(
+                f"orbit left the {model} domain at step {k + 1}",
+                index=k + 1,
+                margin=float(margin),
+            )
+        buf[count] = nxt
+        count += 1
+        if model == "ball":
+            if margin < policy.boundary_gap:
+                stop = "boundary_proximity"
+                break
+        elif abs(nxt[0]) > policy.max_magnitude:
+            stop = "boundary_proximity"
+            break
+        if k % 16 == 0:
+            if float(np.abs(nxt - cur).max()) < policy.fixed_point_tol:
+                stop = "interior_fixed_point"
+                break
+        cur = nxt
+    return buf[:count].copy(), stop
+
+
+class NanBeyond:
+    """(z, w) -> (z + 1, w) that returns NaN once Re z passes `edge`."""
+
+    model = "siegel"
+
+    def __init__(self, edge):
+        self.edge = edge
+
+    def __call__(self, pt):
+        out = np.array(pt, np.complex128)
+        out[..., 0] += 1.0
+        return np.where(out[..., :1].real > self.edge, np.nan, out)
+
+
+class RaiseBeyond:
+    """(z, w) -> (z + b, w) that raises on points with |z| > `edge`."""
+
+    model = "siegel"
+
+    def __init__(self, b, edge):
+        self.b, self.edge = b, edge
+
+    def __call__(self, pt):
+        pt = np.asarray(pt, np.complex128)
+        if np.any(np.abs(pt[..., 0]) > self.edge):
+            raise ValueError("point beyond the edge")
+        out = pt.copy()
+        out[..., 0] += self.b
+        return out
+
+
+class SiegelDilation:
+    """(z, w) -> (lam z, sqrt(lam) w), a hyperbolic automorphism for lam > 1."""
+
+    model = "siegel"
+
+    def __init__(self, lam):
+        self.lam = lam
+
+    def __call__(self, pt):
+        pt = np.asarray(pt, np.complex128)
+        return np.concatenate((self.lam * pt[..., :1], np.sqrt(self.lam) * pt[..., 1:]), axis=-1)
+
+
+def _siegel(*pts):
+    return [np.array(p, np.complex128) for p in pts]
+
+
+# (spec, starts, n_max, stop reasons of the three orbits); no n_max is a
+# multiple of the 256-step check block
+ENGINE_CASES = {
+    "siegel": (maps.SiegelTranslation(1.0),
+               _siegel([1.0, 0.3], [2.0 + 1.0j, 0.1], [1.5 - 0.5j, -0.1j]), 1000,
+               ["max_iter"] * 3),
+    "siegel_far": (maps.SiegelTranslation(1e8),
+                   _siegel([1.0, 0.0], [3e11, 0.2], [7e11 + 1j, 0.5j]), 10_100,
+                   ["boundary_proximity"] * 3),
+    "heisenberg": (maps.HeisenbergTranslation((0.3 + 0.4j,), 1.0),
+                   _siegel([1.5, 0.2 - 0.1j], [2.0, 0.0], [3.0, -0.3]), 1000,
+                   ["max_iter"] * 3),
+    "heisenberg_3d": (maps.HeisenbergTranslation((0.3 + 0.1j, -0.2j), 0.5),
+                      _siegel([1.5, 0.2, 0.1j], [2.0, 0.0, 0.0], [3.0, -0.3, 0.4]), 700,
+                      ["max_iter"] * 3),
+    "composition": (maps.compose(maps.SiegelTranslation(2.0),
+                                 maps.HeisenbergTranslation((0.25 + 0j,), 0.0)),
+                    _siegel([1.5, 0.2], [2.0 + 1.0j, 0.1], [1.0, 0.0]), 1000,
+                    ["max_iter"] * 3),
+    "identity_siegel": (maps.Identity("siegel"),
+                        _siegel([1.0, 0.3], [2.0, 0.0], [1.5, 0.1j]), 300,
+                        ["interior_fixed_point"] * 3),
+    "identity_ball": (maps.Identity("ball"),
+                      _siegel([0.0, 0.0], [0.2 + 0.1j, 0.3], [-0.3, 0.1 - 0.2j]), 300,
+                      ["interior_fixed_point"] * 3),
+    "ball_from_siegel": (maps.Conjugated(maps.SiegelTranslation(1.0)),
+                         _siegel([0.0, 0.0], [0.2 + 0.1j, 0.3], [-0.3, 0.1 - 0.2j]), 1000,
+                         ["max_iter"] * 3),
+    "ball_boundary_gap": (maps.Conjugated(SiegelDilation(1.1)),
+                          _siegel([0.0, 0.0], [0.2 + 0.1j, 0.3], [-0.3, 0.1 - 0.2j]), 1000,
+                          ["boundary_proximity"] * 3),
+    "ball_wide_gap": (maps.Conjugated(SiegelDilation(1.1)),
+                      _siegel([0.0, 0.0], [0.2 + 0.1j, 0.3], [-0.3, 0.1 - 0.2j]), 1000,
+                      ["boundary_proximity"] * 3),
+    "siegel_from_ball": (maps.Conjugated(maps.Conjugated(maps.SiegelTranslation(1.0))),
+                         _siegel([1.0, 0.3], [2.0 + 1.0j, 0.1], [1.5 - 0.5j, -0.1j]), 700,
+                         ["max_iter"] * 3),
+    "nan": (NanBeyond(300.5), _siegel([1.0, 0.0], [100.0, 0.5], [250.25, 0.1j]), 1000,
+            ["numeric_failure"] * 3),
+    "raise_past_stop": (RaiseBeyond(1e9, 1e12),
+                        _siegel([1.0, 0.0], [2e11, 0.5], [5e11 + 1j, 0.1j]), 1000,
+                        ["boundary_proximity"] * 3),
+    "raise_past_stop_pair": (RaiseBeyond(1e9, 1e12), _siegel([1.0, 0.0], [5e11, 0.0]), 1000,
+                             ["boundary_proximity"] * 2),
+}
+
+
+# stopping policies other than the default, by case
+ENGINE_POLICIES = {"ball_wide_gap": StoppingPolicy(boundary_gap=1e-6)}
+
+
+def _assert_same(orbit, ref):
+    points, stop = ref
+    assert orbit.stop_reason == stop
+    assert orbit.points.shape == points.shape
+    assert orbit.points.tobytes() == points.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_CASES))
+def test_engine_matches_per_step_loop(name):
+    spec, starts, n_max, stops = ENGINE_CASES[name]
+    policy = ENGINE_POLICIES.get(name)
+    refs = [reference_orbit(spec, s, n_max, policy) for s in starts]
+    assert [r[1] for r in refs] == stops
+    for s, ref in zip(starts, refs):
+        _assert_same(dynamics.iterate(spec, s, n_max, policy), ref)
+    batch = dynamics.iterate_batch(spec, starts, n_max, policy)
+    assert len(batch) == len(starts)
+    for orbit, s, ref in zip(batch, starts, refs):
+        assert orbit.start is s
+        _assert_same(orbit, ref)
+
+
+def _evaluation_error(fn):
+    with pytest.raises(EvaluationError) as info:
+        fn()
+    return info.value.index, info.value.margin
+
+
+def test_engine_evaluation_error_matches_per_step_loop():
+    # Re b < 0 drives Re z - ||w||^2 through zero; the starts leave at different steps
+    spec = maps.SiegelTranslation(-1.0)
+    starts = _siegel([700.25, 0.5], [300.5, 0.25j], [1000.125, 0.0])
+    refs = [_evaluation_error(lambda s=s: reference_orbit(spec, s, 2000)) for s in starts]
+    assert len(set(refs)) == 3
+    for s, ref in zip(starts, refs):
+        assert _evaluation_error(lambda s=s: dynamics.iterate(spec, s, 2000)) == ref
+    # like a loop over the starts, the batch raises the first start's error
+    assert _evaluation_error(lambda: dynamics.iterate_batch(spec, starts, 2000)) == refs[0]
+    assert _evaluation_error(lambda: dynamics.iterate_batch(spec, starts[1:], 2000)) == refs[1]
+
+
+def test_engine_error_order_follows_the_starts():
+    # the first start leaves the domain, the second makes the map raise
+    spec = RaiseBeyond(-1.0, 1000.0)
+    starts = _siegel([300.5, 0.25j], [2000.0, 0.0])
+    ref = _evaluation_error(lambda: reference_orbit(spec, starts[0], 2000))
+    assert _evaluation_error(lambda: dynamics.iterate_batch(spec, starts, 2000)) == ref
+    with pytest.raises(ValueError):
+        dynamics.iterate_batch(spec, starts[::-1], 2000)
+
+
+def test_engine_raises_map_errors_before_the_stop():
+    spec = RaiseBeyond(1.0, 500.0)
+    starts = _siegel([1.0, 0.0], [100.0, 0.5])
+    with pytest.raises(ValueError):
+        reference_orbit(spec, starts[0], 1000)
+    with pytest.raises(ValueError):
+        dynamics.iterate(spec, starts[0], 1000)
+    with pytest.raises(ValueError):
+        dynamics.iterate_batch(spec, starts, 1000)
+    # a bad third start raises, unless an earlier start's orbit raises first
+    good = dynamics.iterate_batch(spec, starts, 300)
+    for orbit, s in zip(good, starts):
+        _assert_same(orbit, reference_orbit(spec, s, 300))
+    with pytest.raises(DomainError):
+        dynamics.iterate_batch(spec, starts + _siegel([-1.0, 0.0]), 300)
+    with pytest.raises(ValueError):
+        dynamics.iterate_batch(spec, starts + _siegel([-1.0, 0.0]), 1000)
+
+
+def test_iterate_batch_planar_runs_each_start():
+    spec = maps.HalfplaneAffine(1.0, 1.0)
+    orbits = dynamics.iterate_batch(spec, [1.0, 2.0 + 1j], 100)
+    for orbit, s in zip(orbits, [1.0, 2.0 + 1j]):
+        ref = dynamics.iterate(spec, s, 100)
+        assert orbit.stop_reason == ref.stop_reason
+        assert orbit.points.tobytes() == ref.points.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# work counts
+
+
+def _count_calls(monkeypatch, module, name, log):
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        log.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("spec", [maps.SiegelTranslation(1.0), maps.HalfplaneAffine(1.0, 1.0)])
+def test_classify_iterates_each_start_once(monkeypatch, spec):
+    calls = []
+    _count_calls(monkeypatch, dynamics, "iterate", calls)
+    rep = dynamics.classify(spec, budgets=Budgets(n_max=20_000))
+    assert rep.type == "parabolic"
+    starts = dynamics.default_starts(spec.model)
+    assert len(calls) == len(starts)
+    for (args, _), s in zip(calls, starts):
+        assert np.array_equal(args[1], s)
