@@ -15,7 +15,9 @@ Config schema (all keys optional unless a command needs them)::
       "basepoint": [1.0, 0.0],
       "kind": "pommerenke",           # or "baker_pommerenke" (conjugate command)
       "seed": 0,
-      "plot": {"marker_size": 2.0, "tail_highlight": 0, "title": ""}
+      "plot": {"marker_size": 2.0, "tail_highlight": 0, "title": ""},
+      "tolerances": {"tol_c": 1e-3, "tol_dw": 1e-4, "tol_step": 1e-3},
+      "suite": [{"map": {...}, "start": [1.0, 0.0]}, ...]   # harness command
     }
 
 CSV output is comma-delimited with '.' decimals and 17 significant digits.
@@ -80,12 +82,12 @@ def _spec(cfg: dict):
     return maps.spec_from_dict(cfg["map"])
 
 
-def _starts(cfg: dict, model: str):
+def _starts(cfg: dict, spec):
     if "starts" in cfg:
-        return [_parse_point(s, model) for s in cfg["starts"]]
+        return [_parse_point(s, spec.model) for s in cfg["starts"]]
     if "start" in cfg:
-        return [_parse_point(cfg["start"], model)]
-    return dynamics.default_starts(model)
+        return [_parse_point(cfg["start"], spec.model)]
+    return dynamics._fit_starts(spec, dynamics.default_starts(spec.model))
 
 
 def _budgets(cfg: dict, args) -> dynamics.Budgets:
@@ -102,9 +104,7 @@ def _budgets(cfg: dict, args) -> dynamics.Budgets:
 
 def _orbit_rows(orbit) -> tuple:
     """Header and rows: n, coordinate re/im pairs."""
-    pts = orbit.points
-    if orbit.model in maps.PLANAR:
-        pts = np.asarray(pts)[:, None]
+    pts = orbit.points.reshape(orbit.length, -1)  # planar orbits are the N = 1 case
     dim = pts.shape[1]
     if dim == 1:
         header = ["n", "re", "im"]
@@ -131,7 +131,7 @@ def _write_csv(path: str, header, rows) -> None:
 def cmd_classify(cfg, args) -> int:
     spec = _spec(cfg)
     budgets = _budgets(cfg, args)
-    rep = dynamics.classify(spec, _starts(cfg, spec.model), budgets)
+    rep = dynamics.classify(spec, _starts(cfg, spec), budgets)
     if rep.dw_location == "interior":
         dw_desc = repr(rep.dw_point)
     elif isinstance(rep.dw_point, dynamics.BoundaryPoint) and rep.dw_point.at_infinity:
@@ -155,7 +155,7 @@ def cmd_classify(cfg, args) -> int:
 def cmd_orbit(cfg, args) -> int:
     spec = _spec(cfg)
     budgets = _budgets(cfg, args)
-    start = _starts(cfg, spec.model)[0]
+    start = _starts(cfg, spec)[0]
     orbit = dynamics.iterate(spec, start, budgets.n_max)
     header, rows = _orbit_rows(orbit)
     _write_csv(os.path.join(args.out, "orbit.csv"), header, rows)
@@ -166,7 +166,7 @@ def cmd_orbit(cfg, args) -> int:
 def cmd_steps(cfg, args) -> int:
     spec = _spec(cfg)
     budgets = _budgets(cfg, args)
-    start = _starts(cfg, spec.model)[0]
+    start = _starts(cfg, spec)[0]
     orbit = dynamics.iterate(spec, start, budgets.n_max)
     st = dynamics.step_series(orbit, tol_step=budgets.tol_step)
     header, rows = _orbit_rows(orbit)
@@ -181,29 +181,15 @@ def cmd_steps(cfg, args) -> int:
 def cmd_approach(cfg, args) -> int:
     spec = _spec(cfg)
     budgets = _budgets(cfg, args)
-    start = _starts(cfg, spec.model)[0]
+    start = _starts(cfg, spec)[0]
     orbit = dynamics.iterate(spec, start, budgets.n_max)
     ap = diagnostics.approach_report(orbit)
     rq = diagnostics.radial_quotient_series(orbit)
-    from . import geometry as g
-
-    if orbit.model == "siegel":
-        series = (
-            g.koranyi_series_siegel(orbit.points),
-            g.special_ratio_series_siegel(orbit.points),
-            g.nt_quotient_series_siegel(orbit.points),
-        )
-    else:
-        x = ap.X.X
-        series = (
-            g.koranyi_series_ball(orbit.points, x),
-            g.special_ratio_series_ball(orbit.points, x),
-            g.nt_quotient_series_ball(orbit.points, x),
-        )
+    special, koranyi, nt = diagnostics._orbit_series(orbit, ap.X)[:3]
     header, rows = _orbit_rows(orbit)
     header += ["koranyi_q", "special_ratio", "nt_q", "radial_q"]
     for n, row in enumerate(rows):
-        row += [_fmt(series[0][n]), _fmt(series[1][n]), _fmt(series[2][n])]
+        row += [_fmt(koranyi[n]), _fmt(special[n]), _fmt(nt[n])]
         row.append(_fmt(abs(rq[n])) if n < rq.size else "")
     _write_csv(os.path.join(args.out, "approach.csv"), header, rows)
     print(
@@ -277,7 +263,7 @@ def cmd_harness(cfg, args) -> int:
 def cmd_probe(cfg, args) -> int:
     spec = _spec(cfg)
     budgets = _budgets(cfg, args)
-    starts = _starts(cfg, spec.model) if ("starts" in cfg) else None
+    starts = _starts(cfg, spec) if ("starts" in cfg) else None
     rep = diagnostics.conjecture_probe(spec, starts, budgets)
     header = ["start", "verdict", "d_inf_estimate"]
     rows = [
@@ -292,7 +278,7 @@ def cmd_probe(cfg, args) -> int:
 def cmd_plot(cfg, args) -> int:
     spec = _spec(cfg)
     budgets = _budgets(cfg, args)
-    start = _starts(cfg, spec.model)[0]
+    start = _starts(cfg, spec)[0]
     orbit = dynamics.iterate(spec, start, budgets.n_max)
     disk_pts = plotting.orbit_disk_coords(orbit)
     popts = cfg.get("plot", {})

@@ -17,7 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, maps
-from .dynamics import Budgets, Orbit, classify, default_starts, iterate, step_series
+from .dynamics import (
+    Budgets, Orbit, _fit_starts, classify, default_starts, iterate, step_series,
+)
 from .errors import PreconditionError
 from .geometry import BoundaryPoint
 
@@ -321,8 +323,7 @@ def conjecture_probe(spec, starts=None, budgets: Budgets | None = None) -> Probe
     """
     budgets = budgets or Budgets()
     if starts is None:
-        base = default_starts(spec.model)
-        starts = list(base)
+        starts = default_starts(spec.model)
         if spec.model in maps.PLANAR:
             starts += [3.0 - 1.0j, 1.5 + 2.0j]
         else:
@@ -330,6 +331,7 @@ def conjecture_probe(spec, starts=None, budgets: Budgets | None = None) -> Probe
                 np.array([3.0, 0.5], np.complex128),
                 np.array([2.0 + 2.0j, -0.4j], np.complex128),
             ]
+        starts = _fit_starts(spec, starts)
     if len(starts) < 5:
         raise PreconditionError("the probe wants at least 5 starts")
     rep = classify(spec, budgets=Budgets(n_max=20_000))

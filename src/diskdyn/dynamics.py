@@ -103,14 +103,23 @@ def default_starts(model: str):
     raise DomainError(f"unknown model {model!r}")
 
 
+def _fit_starts(spec, starts):
+    """N = 2 ball/Siegel starts, cut or padded with zeros to the N that spec fixes."""
+    n = maps.fixed_dim(spec)
+    if n is None:
+        return starts
+    return [np.pad(s[:n], (0, n - s[:n].size)) for s in starts]
+
+
 # ---------------------------------------------------------------------------
 # iteration
 
-# ball/Siegel orbits: the stopping checks run once per block of this many
-# steps, vectorized over the block, instead of once per step
+# the stopping checks of an orbit run once per block of this many steps,
+# vectorized over the block, instead of once per step; this serves all four
+# models, the planar ones as the N = 1 case
 _BLOCK = 256
 # the fixed-point test is only a stopping shortcut, made every this many steps
-_FP_STRIDE = 16
+_FP_STRIDE = {"disk": 1, "halfplane": 1, "ball": 16, "siegel": 16}
 # the block screen widens every threshold by this relative slack, so that its
 # vectorized rounding can only add candidate steps for the exact per-step
 # check, never hide a step where that check stops.  Two orders of summing the
@@ -121,70 +130,22 @@ _SLACK = 1e-12
 
 
 def iterate(spec, start, n_max: int, policy: StoppingPolicy | None = None) -> Orbit:
-    """Forward orbit z_0, f(z_0), f_2(z_0), ... with at most n_max steps."""
+    """Forward orbit z_0, f(z_0), f_2(z_0), ... with at most n_max steps.
+
+    One engine serves all four models.  The map steps the point through a
+    whole block first; a vectorized screen then flags every step of the block
+    that might stop, and only those steps go through the per-step rule of
+    ``_check_step``.  The orbit is the one a per-step check would give, and
+    its points are a view of the buffer.
+    """
     policy = policy or StoppingPolicy()
     model = spec.model
-    if model not in maps.PLANAR:
-        return _iterate_blocks(spec, start, n_max, policy)
-    cur = complex(start)
-    buf = np.empty(n_max + 1, np.complex128)
+    # a planar point stays a number, so the map keeps its own arithmetic
+    cur = complex(start) if model in maps.PLANAR else np.array(start, np.complex128).reshape(-1)
     if maps.domain_margin(model, cur) <= 0.0:
         raise DomainError(f"start lies outside the {model} domain")
-    buf[0] = cur
-    stop = "max_iter"
-    count = 1
-    for k in range(n_max):
-        nxt = spec(cur)
-        if model == "disk":
-            margin = 1.0 - (nxt.real * nxt.real + nxt.imag * nxt.imag)
-        else:
-            margin = nxt.real
-        if not margin > 0.0:
-            if margin != margin:  # NaN
-                stop = "numeric_failure"
-                break
-            raise EvaluationError(
-                f"orbit left the {model} domain at step {k + 1}",
-                index=k + 1,
-                margin=float(margin),
-            )
-        buf[count] = nxt
-        count += 1
-        if model == "disk":
-            if margin < policy.boundary_gap:  # margin is 1 - |.|^2 here
-                stop = "boundary_proximity"
-                break
-        elif abs(nxt) > policy.max_magnitude:
-            stop = "boundary_proximity"
-            break
-        if abs(nxt - cur) < policy.fixed_point_tol:
-            stop = "interior_fixed_point"
-            break
-        cur = nxt
-    return Orbit(spec, model, start, buf[:count].copy(), stop)
-
-
-def iterate_batch(spec, starts, n_max: int, policy: StoppingPolicy | None = None) -> list:
-    """Forward orbits of several starts, one ``iterate`` Orbit per start, in order.
-
-    The first start whose orbit fails raises, as a loop over ``iterate`` would.
-    """
-    return [iterate(spec, s, n_max, policy) for s in starts]
-
-
-def _iterate_blocks(spec, start, n_max: int, policy: StoppingPolicy) -> Orbit:
-    """The ball/Siegel branch of ``iterate``, checked once per block of steps.
-
-    The map steps the point through a whole block first; a vectorized screen
-    then flags every step of the block that might stop, and only those steps
-    go through the per-step rule of ``_check_step``.  The orbit is the one a
-    per-step check would give, and its points are a view of the buffer.
-    """
-    model = spec.model
-    cur = np.array(start, np.complex128).reshape(-1)
-    if maps.domain_margin(model, cur) <= 0.0:
-        raise DomainError(f"start lies outside the {model} domain")
-    buf = np.empty((n_max + 1, cur.size), np.complex128)
+    buf = np.empty((n_max + 1,) + np.shape(cur), np.complex128)
+    rows = buf.reshape(n_max + 1, -1)  # planar points are the N = 1 case
     buf[0] = cur
     t = 0
     while t < n_max:
@@ -197,7 +158,7 @@ def _iterate_blocks(spec, start, n_max: int, policy: StoppingPolicy) -> Orbit:
             except Exception as err:  # raised only if no earlier step stops
                 exc, end = err, j - 1
                 break
-        block = buf[t : end + 1]
+        block = rows[t : end + 1]
         for i in np.flatnonzero(~_screen(model, policy, block, t)).tolist():
             reason, kept = _check_step(model, policy, block[i + 1], block[i], t + i)
             if reason is not None:
@@ -208,13 +169,21 @@ def _iterate_blocks(spec, start, n_max: int, policy: StoppingPolicy) -> Orbit:
     return Orbit(spec, model, start, buf, "max_iter")
 
 
+def iterate_batch(spec, starts, n_max: int, policy: StoppingPolicy | None = None) -> list:
+    """Forward orbits of several starts, one ``iterate`` Orbit per start, in order.
+
+    The first start whose orbit fails raises, as a loop over ``iterate`` would.
+    """
+    return [iterate(spec, s, n_max, policy) for s in starts]
+
+
 def _screen(model: str, policy: StoppingPolicy, pts, t: int):
     """(m,) mask of the steps of pts that certainly pass _check_step.
 
     pts is (m + 1, N) and its point i is point t + i of the orbit.
     """
     nxt, cur = pts[1:], pts[:-1]
-    if model == "siegel":
+    if model in ("halfplane", "siegel"):
         x, w = nxt[..., 0].real, nxt[..., 1:]
     else:
         x, w = 1.0, nxt
@@ -222,27 +191,33 @@ def _screen(model: str, policy: StoppingPolicy, pts, t: int):
     margin = x - q
     slack = _SLACK * (np.abs(x) + q)
     clear = margin > slack
-    if model == "ball":
+    if model in ("disk", "ball"):
         clear &= margin >= policy.boundary_gap + slack
     else:
         clear &= np.abs(nxt[..., 0]) <= policy.max_magnitude * (1.0 - _SLACK)
-    first = -t % _FP_STRIDE
-    disp = np.abs(nxt[first::_FP_STRIDE] - cur[first::_FP_STRIDE]).max(axis=-1)
-    clear[first::_FP_STRIDE] &= disp >= policy.fixed_point_tol * (1.0 + _SLACK)
+    stride = _FP_STRIDE[model]
+    first = -t % stride
+    disp = np.abs(nxt[first::stride] - cur[first::stride]).max(axis=-1)
+    clear[first::stride] &= disp >= policy.fixed_point_tol * (1.0 + _SLACK)
     return clear
 
 
 def _check_step(model: str, policy: StoppingPolicy, nxt, cur, k: int):
-    """The stopping rule for step k, from cur to nxt, of a ball/Siegel orbit.
+    """The stopping rule for step k, from the (N,) point cur to nxt.
 
     Returns (stop reason or None, whether nxt belongs to the orbit); raises
-    EvaluationError when nxt left the domain.
+    EvaluationError when nxt left the domain.  Planar points (N = 1) are
+    checked in scalar arithmetic: numpy's array abs, for one, can differ from
+    the scalar abs in the last bit.
     """
-    if model == "siegel":
+    if model == "disk":
+        z = nxt[0]
+        margin = 1.0 - (z.real * z.real + z.imag * z.imag)
+    elif model == "ball":
+        margin = 1.0 - float(np.vdot(nxt, nxt).real)
+    else:  # Siegel, and the half-plane as its N = 1 case with an empty w
         w = nxt[1:]
         margin = nxt[0].real - float(np.vdot(w, w).real)
-    else:  # ball
-        margin = 1.0 - float(np.vdot(nxt, nxt).real)
     if not margin > 0.0:
         if margin != margin:  # NaN
             return "numeric_failure", False
@@ -251,13 +226,16 @@ def _check_step(model: str, policy: StoppingPolicy, nxt, cur, k: int):
             index=k + 1,
             margin=float(margin),
         )
-    if model == "ball":
+    if model in ("disk", "ball"):
         if margin < policy.boundary_gap:  # margin is 1 - ||.||^2 here
             return "boundary_proximity", True
     elif abs(nxt[0]) > policy.max_magnitude:
         return "boundary_proximity", True
-    if k % _FP_STRIDE == 0 and float(np.abs(nxt - cur).max()) < policy.fixed_point_tol:
-        return "interior_fixed_point", True
+    if k % _FP_STRIDE[model] == 0:
+        d = nxt - cur
+        disp = abs(d[0]) if model in maps.PLANAR else float(np.abs(d).max())
+        if disp < policy.fixed_point_tol:
+            return "interior_fixed_point", True
     return None, True
 
 
@@ -309,16 +287,11 @@ def step_series(orbit: Orbit, tail_fraction: float = 0.1, tol_step: float = 1e-3
 
 def _closure_coords(model: str, pt):
     """Represent a point (or its limit) in disk/ball closure coordinates."""
-    if model == "disk":
-        return np.array([complex(pt)])
-    if model == "halfplane":
-        z = complex(pt)
-        return np.array([(z - 1.0) / (z + 1.0)])
-    arr = np.asarray(pt, np.complex128).reshape(-1)
-    if model == "ball":
-        return arr
-    denom = arr[0] + 1.0
-    return np.concatenate(([(arr[0] - 1.0) / denom], 2.0 * arr[1:] / denom))
+    if model in maps.PLANAR:
+        pt = complex(pt)
+    if model in ("halfplane", "siegel"):
+        pt = geometry.siegel_to_ball_array(pt)
+    return np.asarray(pt, np.complex128).reshape(-1)
 
 
 def estimate_denjoy_wolff(spec, starts, n_max: int = 100_000, tol_dw: float = 1e-6):
@@ -398,18 +371,10 @@ def _midpoint_fixed_point(spec, start, n_max: int = 20_000, tol: float = 1e-13):
 
 def _contraction_probe(spec, p, delta: float = 1e-5) -> float:
     """Local pseudo-hyperbolic contraction factor at an interior fixed point."""
-    planar = spec.model in maps.PLANAR
-    if spec.model == "disk":
-        dist = geometry.pdist_disk
-    elif spec.model == "halfplane":
-        dist = geometry.pdist_halfplane
-    elif spec.model == "ball":
-        dist = geometry.pdist_ball
-    else:
-        dist = geometry.pdist_siegel
+    dist = getattr(geometry, "pdist_" + spec.model)
     worst = 0.0
     for k in range(4):
-        if planar:
+        if spec.model in maps.PLANAR:
             q = p + delta * np.exp(1j * np.pi * k / 2.0)
         else:
             q = np.array(p, np.complex128)
@@ -438,14 +403,11 @@ def _native_boundary_point(model: str, p: np.ndarray):
 def classify(spec, starts=None, budgets: Budgets | None = None) -> ClassificationReport:
     """Elliptic / hyperbolic / parabolic verdict from orbit behavior."""
     budgets = budgets or Budgets()
-    starts = list(starts) if starts is not None else default_starts(spec.model)
+    defaults = _fit_starts(spec, default_starts(spec.model))
+    starts = list(starts) if starts is not None else defaults
     if len(starts) < 2:
-        planar = spec.model in maps.PLANAR
-        for extra in default_starts(spec.model):
-            if all(
-                (abs(extra - s) > 0.0 if planar else np.any(extra != np.asarray(s)))
-                for s in starts
-            ):
+        for extra in defaults:
+            if all(np.any(extra != np.asarray(s)) for s in starts):
                 starts.append(extra)
     notes = []
     # one orbit per start serves both the Denjoy-Wolff point and the multiplier
@@ -462,12 +424,9 @@ def classify(spec, starts=None, budgets: Budgets | None = None) -> Classificatio
         return ClassificationReport(fp, "interior", min(c, 1.0), "elliptic", tuple(notes))
 
     if location == "interior":
-        native = p[0] if spec.model == "disk" else p
-        if spec.model == "halfplane":
-            native = (1.0 + p[0]) / (1.0 - p[0])
-        elif spec.model == "siegel":
-            denom = 1.0 - p[0]
-            native = np.concatenate(([(1.0 + p[0]) / denom], p[1:] / denom))
+        native = p[0] if spec.model in maps.PLANAR else p
+        if spec.model in ("halfplane", "siegel"):
+            native = geometry.ball_to_siegel_array(native)
         c = _contraction_probe(spec, native)
         return ClassificationReport(native, "interior", min(c, 1.0), "elliptic", tuple(notes))
 

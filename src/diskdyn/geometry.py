@@ -5,9 +5,12 @@ Four mutually biholomorphic pictures are supported:
 * the unit disk  D = {|z| < 1}            <->  the right half-plane  H = {Re z > 0}
 * the unit ball  B^N = {||Z|| < 1}        <->  the Siegel half-plane H^N = {Re z > ||w||^2}
 
-The Cayley transforms are fixed once and for all so that every module agrees
-on the normalization: the half-plane / Siegel boundary point at infinity
-corresponds to 1 in the disk and to (1, 0) on the sphere.
+The disk and the half-plane are the N = 1 cases of the ball and the Siegel
+half-plane.  One Cayley pair, ``siegel_to_ball_array`` and its inverse
+``ball_to_siegel_array``, links each unbounded model to its bounded partner in
+every module, so all agree on the normalization: the half-plane / Siegel
+boundary point at infinity corresponds to 1 in the disk and to (1, 0) on the
+sphere.
 
 Quantities that degenerate near the boundary (1 - |z1|^2, 1 - ||Z||, the
 special ratio, the Koranyi quotient, ...) are never formed by subtracting
@@ -184,10 +187,7 @@ def _half_z(p) -> complex:
 def _ball_coords(p) -> np.ndarray:
     if isinstance(p, BallPoint):
         return p.coords
-    if isinstance(p, numbers.Complex):
-        arr = np.array([p], np.complex128)
-    else:
-        arr = np.asarray(p, np.complex128).reshape(-1)
+    arr = np.asarray(p, np.complex128).reshape(-1)
     if not float(np.sum(np.abs(arr) ** 2)) < 1.0:
         raise DomainError("||Z|| is not < 1")
     return arr
@@ -196,25 +196,20 @@ def _ball_coords(p) -> np.ndarray:
 def _siegel_coords(p) -> np.ndarray:
     if isinstance(p, SiegelPoint):
         return p.coords
-    if isinstance(p, numbers.Complex):
-        arr = np.array([p], np.complex128)
-    else:
-        arr = np.asarray(p, np.complex128).reshape(-1)
+    arr = np.asarray(p, np.complex128).reshape(-1)
     if not arr[0].real > float(np.sum(np.abs(arr[1:]) ** 2)):
         raise DomainError("Re z is not > ||w||^2")
     return arr
 
 
 def _x_vector(X, dim: int) -> np.ndarray:
-    if isinstance(X, BoundaryPoint):
-        if X.at_infinity:
-            raise DegenerateInputError(
-                "quotients need a finite boundary vector; map infinity to (1,0) first"
-            )
-        v = X.X
-    else:
-        v = np.asarray(X, np.complex128).reshape(-1)
-        v = v / np.linalg.norm(v)
+    if not isinstance(X, BoundaryPoint):
+        X = BoundaryPoint(X)  # normalizes, and rejects the zero vector
+    if X.at_infinity:
+        raise DegenerateInputError(
+            "quotients need a finite boundary vector; map infinity to (1,0) first"
+        )
+    v = X.X
     if v.size != dim:
         raise DomainError(f"boundary vector has dim {v.size}, point has dim {dim}")
     return v
@@ -226,46 +221,50 @@ def _x_vector(X, dim: int) -> np.ndarray:
 
 def cayley_halfplane_to_disk(p) -> DiskPoint:
     """C(z) = (z - 1)/(z + 1); sends 1 -> 0 and infinity -> 1."""
-    z = _half_z(p)
-    return DiskPoint((z - 1.0) / (z + 1.0))
+    return DiskPoint(siegel_to_ball_array(_half_z(p)))
 
 
 def cayley_disk_to_halfplane(p) -> HalfPlanePoint:
     """Inverse transform (1 + u)/(1 - u)."""
-    u = _disk_z(p)
-    return HalfPlanePoint((1.0 + u) / (1.0 - u))
+    return HalfPlanePoint(ball_to_siegel_array(_disk_z(p)))
 
 
 def cayley_ball_to_siegel(p) -> SiegelPoint:
     """Psi(z1, w) = ((1 + z1)/(1 - z1), w/(1 - z1)); sends (1,0) -> infinity."""
-    Z = _ball_coords(p)
-    z1, w = Z[0], Z[1:]
-    return SiegelPoint((1.0 + z1) / (1.0 - z1), w / (1.0 - z1))
+    P = ball_to_siegel_array(_ball_coords(p))
+    return SiegelPoint(P[0], P[1:])
 
 
 def cayley_siegel_to_ball(p) -> BallPoint:
     """Inverse transform (z - 1)/(z + 1), 2w/(z + 1)."""
-    P = _siegel_coords(p)
-    z, w = P[0], P[1:]
-    return BallPoint((z - 1.0) / (z + 1.0), 2.0 * w / (z + 1.0))
+    Z = siegel_to_ball_array(_siegel_coords(p))
+    return BallPoint(Z[0], Z[1:])
 
 
-# raw array versions used by the dynamics pipeline (no per-point objects)
+# the array-level pair behind every Cayley transform in the package: a number
+# is a half-plane / disk point and keeps its own arithmetic (Python and numpy
+# complex division differ in the last bit); an array holds points (z, w) along
+# its last axis, so an (N,) point, an (n, N) orbit, and planar points as (..., 1)
 
 
-def siegel_to_ball_array(P: np.ndarray) -> np.ndarray:
-    """Map an (n, N) Siegel orbit array to ball coordinates, row-wise."""
-    P = np.atleast_2d(P)
-    out = np.empty_like(P)
-    denom = P[:, 0] + 1.0
-    out[:, 0] = (P[:, 0] - 1.0) / denom
-    out[:, 1:] = 2.0 * P[:, 1:] / denom[:, None]
-    return out
+def siegel_to_ball_array(P):
+    """(z, w) -> ((z - 1)/(z + 1), 2w/(z + 1)), on a number or along the last axis."""
+    if isinstance(P, numbers.Number):
+        return (P - 1.0) / (P + 1.0)
+    P = np.asarray(P, np.complex128)
+    z = P[..., :1]
+    denom = z + 1.0
+    return np.concatenate(((z - 1.0) / denom, 2.0 * P[..., 1:] / denom), axis=-1)
 
 
-def halfplane_to_disk_array(z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z)
-    return (z - 1.0) / (z + 1.0)
+def ball_to_siegel_array(Z):
+    """(z1, w) -> ((1 + z1)/(1 - z1), w/(1 - z1)), the inverse of siegel_to_ball_array."""
+    if isinstance(Z, numbers.Number):
+        return (1.0 + Z) / (1.0 - Z)
+    Z = np.asarray(Z, np.complex128)
+    z1 = Z[..., :1]
+    denom = 1.0 - z1
+    return np.concatenate(((1.0 + z1) / denom, Z[..., 1:] / denom), axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,13 @@ The built-in families cover the dynamical taxonomy with closed-form oracles:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import MISSING, dataclass, field, fields
 from typing import ClassVar
 
 import numpy as np
 
+from . import geometry
 from .errors import DomainError, EvaluationError, ModelMismatchError
 
 MODELS = ("disk", "halfplane", "ball", "siegel")
@@ -225,28 +227,14 @@ class Conjugated:
         return _PARTNER[self.inner.model]
 
     def __call__(self, pt):
-        m = self.inner.model
-        if m == "halfplane":  # outer point is in the disk
-            z = (1.0 + pt) / (1.0 - pt)
-            r = self.inner(z)
-            return (r - 1.0) / (r + 1.0)
-        if m == "disk":
-            u = (pt - 1.0) / (pt + 1.0)
-            r = self.inner(u)
-            return (1.0 + r) / (1.0 - r)
-        if m == "siegel":  # outer point is in the ball
-            arr = np.asarray(pt, np.complex128)
-            denom = 1.0 - arr[0]
-            inner_pt = np.concatenate(([(1.0 + arr[0]) / denom], arr[1:] / denom))
-            r = self.inner(inner_pt)
-            return np.concatenate(([(r[0] - 1.0) / (r[0] + 1.0)], 2.0 * r[1:] / (r[0] + 1.0)))
-        # inner is a ball map, outer point in the Siegel domain
-        arr = np.asarray(pt, np.complex128)
-        denom = arr[0] + 1.0
-        inner_pt = np.concatenate(([(arr[0] - 1.0) / denom], 2.0 * arr[1:] / denom))
-        r = self.inner(inner_pt)
-        d2 = 1.0 - r[0]
-        return np.concatenate(([(1.0 + r[0]) / d2], r[1:] / d2))
+        if self.inner.model in ("disk", "ball"):  # the outer point is half-plane / Siegel
+            into, back = geometry.siegel_to_ball_array, geometry.ball_to_siegel_array
+        else:
+            into, back = geometry.ball_to_siegel_array, geometry.siegel_to_ball_array
+        if self.inner.model in PLANAR and not isinstance(pt, numbers.Number):
+            # an array of planar points is a batch of N = 1 points for the pair
+            return back(self.inner(into(np.asarray(pt)[..., None])[..., 0])[..., None])[..., 0]
+        return back(self.inner(into(pt)))
 
     def params_ok(self) -> bool:
         return self.inner.params_ok()
@@ -342,11 +330,22 @@ def sample_domain(model: str, count: int, rng: np.random.Generator, dim: int = 2
     raise ModelMismatchError(f"unknown model {model!r}")
 
 
+def fixed_dim(spec):
+    """The N of the ball/Siegel points spec acts on, or None when any N will do."""
+    if isinstance(spec, HeisenbergTranslation):
+        return len(spec.a) + 1
+    if isinstance(spec, Conjugated):
+        return fixed_dim(spec.inner)
+    if isinstance(spec, Composition):
+        return next((n for n in map(fixed_dim, spec.parts) if n is not None), None)
+    return None
+
+
 def validate_self_map(spec, sample_count: int = 500, seed: int = 0) -> ValidityReport:
     """Check the family's parameter constraints and sample the domain margin."""
     analytic = spec.params_ok()
     rng = np.random.default_rng(seed)
-    pts = sample_domain(spec.model, sample_count, rng)
+    pts = sample_domain(spec.model, sample_count, rng, fixed_dim(spec) or 2)
     worst = np.inf
     ok = True
     for pt in pts:
@@ -367,54 +366,52 @@ def validate_self_map(spec, sample_count: int = 500, seed: int = 0) -> ValidityR
 # serialization: plain JSON-compatible dictionaries, bit-exact round trips
 
 
-def _enc_c(z: complex):
-    return [z.real, z.imag]
+# the dict key of a field, where it is not the field's name
+_KEYS = {"model_tag": "model"}
+# _encode and _decode dispatch on a field's annotation, a string such as
+# "complex" under this module's postponed annotations
 
 
-def _dec_c(v) -> complex:
-    return complex(v[0], v[1])
+def _encode(kind: str, v):
+    if kind == "complex":
+        return [v.real, v.imag]
+    if kind == "object":
+        return spec_to_dict(v)
+    if kind == "tuple":  # of complex numbers or of specs
+        return [_encode("complex" if isinstance(x, complex) else "object", x) for x in v]
+    return v
+
+
+def _decode(kind: str, v):
+    if kind == "complex":
+        return complex(v[0], v[1])
+    if kind == "object":
+        return spec_from_dict(v)
+    if kind == "tuple":
+        return tuple(_decode("object" if isinstance(x, dict) else "complex", x) for x in v)
+    return v
 
 
 def spec_to_dict(spec) -> dict:
-    if isinstance(spec, DiskMoebius):
-        return {"family": "DiskMoebius", "a": _enc_c(spec.a), "theta": spec.theta}
-    if isinstance(spec, HalfplaneAffine):
-        return {"family": "HalfplaneAffine", "lam": spec.lam, "b": _enc_c(spec.b)}
-    if isinstance(spec, HalfplanePerturbed):
-        return {"family": "HalfplanePerturbed", "b": _enc_c(spec.b), "c": _enc_c(spec.c)}
-    if isinstance(spec, SiegelTranslation):
-        return {"family": "SiegelTranslation", "b": _enc_c(spec.b)}
-    if isinstance(spec, HeisenbergTranslation):
-        return {
-            "family": "HeisenbergTranslation",
-            "a": [_enc_c(x) for x in spec.a],
-            "b": spec.b,
-        }
-    if isinstance(spec, Identity):
-        return {"family": "Identity", "model": spec.model_tag}
-    if isinstance(spec, Composition):
-        return {"family": "Composition", "parts": [spec_to_dict(p) for p in spec.parts]}
-    if isinstance(spec, Conjugated):
-        return {"family": "Conjugated", "inner": spec_to_dict(spec.inner)}
-    raise ModelMismatchError(f"cannot serialize {type(spec).__name__}")
+    fam = next((name for name, cls in FAMILIES.items() if isinstance(spec, cls)), None)
+    if fam is None:
+        raise ModelMismatchError(f"cannot serialize {type(spec).__name__}")
+    d = {"family": fam}
+    for f in fields(spec):
+        if f.init:
+            d[_KEYS.get(f.name, f.name)] = _encode(f.type, getattr(spec, f.name))
+    return d
 
 
 def spec_from_dict(d: dict):
+    """The spec of a spec_to_dict dict; a missing optional key takes its default."""
     fam = d.get("family")
-    if fam == "DiskMoebius":
-        return DiskMoebius(_dec_c(d["a"]), d.get("theta", 0.0))
-    if fam == "HalfplaneAffine":
-        return HalfplaneAffine(d["lam"], _dec_c(d.get("b", [0.0, 0.0])))
-    if fam == "HalfplanePerturbed":
-        return HalfplanePerturbed(_dec_c(d["b"]), _dec_c(d.get("c", [0.0, 0.0])))
-    if fam == "SiegelTranslation":
-        return SiegelTranslation(_dec_c(d["b"]))
-    if fam == "HeisenbergTranslation":
-        return HeisenbergTranslation(tuple(_dec_c(x) for x in d["a"]), d.get("b", 0.0))
-    if fam == "Identity":
-        return Identity(d.get("model", "halfplane"))
-    if fam == "Composition":
-        return Composition(tuple(spec_from_dict(p) for p in d["parts"]))
-    if fam == "Conjugated":
-        return Conjugated(spec_from_dict(d["inner"]))
-    raise ModelMismatchError(f"unknown family {fam!r}")
+    if fam not in FAMILIES:
+        raise ModelMismatchError(f"unknown family {fam!r}")
+    kwargs = {}
+    for f in fields(FAMILIES[fam]):
+        key = _KEYS.get(f.name, f.name)
+        required = f.default is MISSING and f.default_factory is MISSING
+        if f.init and (key in d or required):  # a missing required key raises KeyError
+            kwargs[f.name] = _decode(f.type, d[key])
+    return FAMILIES[fam](**kwargs)

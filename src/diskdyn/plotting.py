@@ -15,15 +15,10 @@ _CENTER = 250.0
 
 def orbit_disk_coords(orbit) -> np.ndarray:
     """First-coordinate disk cross-section of an orbit in any model."""
-    pts = orbit.points
-    if orbit.model == "disk":
-        return np.asarray(pts)
-    if orbit.model == "halfplane":
-        return geometry.halfplane_to_disk_array(pts)
-    if orbit.model == "ball":
-        return np.atleast_2d(pts)[:, 0]
-    z = np.atleast_2d(pts)[:, 0]
-    return (z - 1.0) / (z + 1.0)
+    pts = orbit.points.reshape(orbit.length, -1)  # planar orbits are the N = 1 case
+    if orbit.model in ("halfplane", "siegel"):
+        pts = geometry.siegel_to_ball_array(pts)
+    return pts[:, 0]
 
 
 def _fmt(x: float) -> str:

@@ -162,3 +162,16 @@ def test_budgets_default_to_dynamics_budgets(monkeypatch):
 
     monkeypatch.setattr(dynamics, "Budgets", Other)
     assert cli._budgets({}, args) == Other()
+
+
+def test_classify_command_three_dimensional_map(tmp_path):
+    # no starts in the config: the default starts take N = 3 from the map
+    cfg = {"map": {"family": "HeisenbergTranslation", "a": [[0.5, 0.0], [0.0, 0.3]]},
+           "n_max": 20_000}
+    assert run(tmp_path, "classify", cfg) == 0
+    with open(tmp_path / "classify.json") as fh:
+        assert json.load(fh)["type"] == "parabolic"
+    assert run(tmp_path, "orbit", dict(cfg, n_max=10)) == 0
+    header, rows = read_csv(tmp_path / "orbit.csv")
+    assert header == ["n", "re0", "im0", "re1", "im1", "re2", "im2"]
+    assert len(rows) == 11

@@ -132,3 +132,12 @@ def test_harness_classifies_each_distinct_spec_once(monkeypatch):
     for row, (spec, start) in zip(rep.rows, suite):
         assert row.start is start
         assert row.label == diagnostics._spec_label(spec)
+
+
+def test_probe_takes_the_dimension_from_the_map():
+    rep = diagnostics.conjecture_probe(maps.HeisenbergTranslation((0.5, 0.3j)),
+                                       budgets=Budgets(n_max=5_000))
+    assert len(rep.starts) == 5
+    assert all(np.shape(s) == (3,) for s in rep.starts)
+    assert rep.flag == "CONSISTENT"
+    assert set(rep.verdicts) == {"nonzero_step"}

@@ -164,6 +164,34 @@ def test_classify_single_start_pads_defaults():
     assert rep.type == "parabolic"
 
 
+def test_classify_takes_the_dimension_from_the_map():
+    heis3 = maps.HeisenbergTranslation((0.5, 0.3j))
+    for spec in (heis3, maps.compose(maps.SiegelTranslation(1.0), heis3)):
+        rep = dynamics.classify(spec, budgets=Budgets(n_max=20_000))
+        assert rep.type == "parabolic"
+        assert rep.dw_point.at_infinity
+    # a single start is padded with default starts of the same dimension
+    rep = dynamics.classify(heis3, starts=[np.array([2.0, 0.1, 0.0], np.complex128)],
+                            budgets=Budgets(n_max=20_000))
+    assert rep.type == "parabolic"
+    # the ball picture runs too (its orbits stop near the sphere before they agree)
+    ball = dynamics.classify(maps.Conjugated(heis3), budgets=Budgets(n_max=2_000))
+    assert isinstance(ball, dynamics.ClassificationReport)
+
+
+def test_default_starts_fit_the_map_dimension():
+    siegel = dynamics.default_starts("siegel")
+    for dim in (1, 2, 3):
+        spec = maps.HeisenbergTranslation((0.5,) * (dim - 1))
+        fitted = dynamics._fit_starts(spec, siegel)
+        assert [s.shape for s in fitted] == [(dim,)] * 3
+        for s, base in zip(fitted, siegel):
+            assert np.array_equal(s, np.pad(base, (0, 1))[:dim])
+            assert maps.domain_margin("siegel", s) > 0.0
+    # maps that fix no dimension keep the defaults themselves
+    assert dynamics._fit_starts(maps.SiegelTranslation(1.0), siegel) is siegel
+
+
 def test_default_starts_inside_domain():
     for model in maps.MODELS:
         for s in dynamics.default_starts(model):
@@ -420,3 +448,206 @@ def test_classify_iterates_each_start_once(monkeypatch, spec):
     assert len(calls) == len(starts)
     for (args, _), s in zip(calls, starts):
         assert np.array_equal(args[1], s)
+
+
+# ---------------------------------------------------------------------------
+# planar orbits: the same engine, as the N = 1 case, against the scalar loop
+# it replaced
+
+
+def reference_planar_orbit(spec, start, n_max, policy=None):
+    """The scalar disk/half-plane loop of iterate before the shared engine; (points, stop)."""
+    policy = policy or StoppingPolicy()
+    model = spec.model
+    cur = complex(start)
+    buf = np.empty(n_max + 1, np.complex128)
+    if maps.domain_margin(model, cur) <= 0.0:
+        raise DomainError(f"start lies outside the {model} domain")
+    buf[0] = cur
+    stop = "max_iter"
+    count = 1
+    for k in range(n_max):
+        nxt = spec(cur)
+        if model == "disk":
+            margin = 1.0 - (nxt.real * nxt.real + nxt.imag * nxt.imag)
+        else:
+            margin = nxt.real
+        if not margin > 0.0:
+            if margin != margin:  # NaN
+                stop = "numeric_failure"
+                break
+            raise EvaluationError(
+                f"orbit left the {model} domain at step {k + 1}",
+                index=k + 1,
+                margin=float(margin),
+            )
+        buf[count] = nxt
+        count += 1
+        if model == "disk":
+            if margin < policy.boundary_gap:  # margin is 1 - |.|^2 here
+                stop = "boundary_proximity"
+                break
+        elif abs(nxt) > policy.max_magnitude:
+            stop = "boundary_proximity"
+            break
+        if abs(nxt - cur) < policy.fixed_point_tol:
+            stop = "interior_fixed_point"
+            break
+        cur = nxt
+    return buf[:count].copy(), stop
+
+
+class PlanarShrink:
+    """z -> 0.5 z on the disk: orbits reach the fixed point 0."""
+
+    model = "disk"
+
+    def __call__(self, z):
+        return 0.5 * z
+
+
+class PlanarNanBeyond:
+    """z -> z + 1 on the half-plane, NaN once Re z passes `edge`."""
+
+    model = "halfplane"
+
+    def __init__(self, edge):
+        self.edge = edge
+
+    def __call__(self, z):
+        z = z + 1.0
+        return complex("nan+nanj") if z.real > self.edge else z
+
+
+class PlanarRaiseBeyond:
+    """z -> z + b on the half-plane that raises on points with |z| > `edge`."""
+
+    model = "halfplane"
+
+    def __init__(self, b, edge):
+        self.b, self.edge = b, edge
+
+    def __call__(self, z):
+        if abs(z) > self.edge:
+            raise ValueError("point beyond the edge")
+        return z + self.b
+
+
+# (spec, start, n_max, stop reason, orbit length or None); no n_max is a
+# multiple of the 256-step check block
+PLANAR_CASES = {
+    "affine_vertical": (maps.HalfplaneAffine(1.0, 1j), 1.0, 1000, "max_iter", 1001),
+    "affine_magnitude": (maps.HalfplaneAffine(1.0, 1e9), 1.0, 1500, "boundary_proximity", 1001),
+    "affine_hyperbolic": (maps.HalfplaneAffine(2.0, 0.5 + 1j), 1.0, 300,
+                          "boundary_proximity", None),
+    "affine_contraction": (maps.HalfplaneAffine(0.5, 1.0), 1.0, 999, "interior_fixed_point", 48),
+    "perturbed": (maps.HalfplanePerturbed(1j, 1.0), 2.0 + 1j, 999, "max_iter", 1000),
+    "perturbed_real": (maps.HalfplanePerturbed(1.0, 1.0), 1.0, 777, "max_iter", 778),
+    "moebius_gap": (maps.DiskMoebius(0.5), 0.3j, 700, "boundary_proximity", 28),
+    "moebius_rotation": (maps.DiskMoebius(0.3, 2.5), 0.1 - 0.2j, 1000, "max_iter", 1001),
+    "disk_from_halfplane": (maps.Conjugated(maps.HalfplaneAffine(1.0, 1.0)), 0.2 + 0.1j, 2000,
+                            "max_iter", 2001),
+    "disk_from_halfplane_gap": (maps.Conjugated(maps.HalfplaneAffine(4.0)), 0.2j, 3000,
+                                "boundary_proximity", 22),
+    "halfplane_from_disk": (maps.Conjugated(maps.DiskMoebius(0.3, 2.5)), 1.0, 1000,
+                            "max_iter", 1001),
+    "halfplane_from_disk_hyperbolic": (maps.Conjugated(maps.DiskMoebius(0.5)), 1.0 + 0.5j, 5000,
+                                       "interior_fixed_point", 32),
+    "identity_disk": (maps.Identity("disk"), 0.3, 100, "interior_fixed_point", 2),
+    "identity_halfplane": (maps.Identity("halfplane"), 2.0 + 1j, 100, "interior_fixed_point", 2),
+    "shrink": (PlanarShrink(), 0.3 + 0.4j, 500, "interior_fixed_point", None),
+    "nan": (PlanarNanBeyond(300.5), 1.0, 1000, "numeric_failure", 300),
+    "raise_past_stop": (PlanarRaiseBeyond(1e9, 1e12), 1.0, 1100, "boundary_proximity", 1001),
+    "magnitude_policy": (maps.HalfplaneAffine(1.0, 1e9), 1.0, 1500, "boundary_proximity", 11),
+    "gap_policy": (maps.DiskMoebius(0.5), 0.3j, 700, "boundary_proximity", None),
+}
+
+
+PLANAR_POLICIES = {
+    "magnitude_policy": StoppingPolicy(max_magnitude=1e10),
+    "gap_policy": StoppingPolicy(boundary_gap=1e-6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLANAR_CASES))
+def test_planar_engine_matches_scalar_loop(name):
+    spec, start, n_max, stop, length = PLANAR_CASES[name]
+    policy = PLANAR_POLICIES.get(name)
+    ref = reference_planar_orbit(spec, start, n_max, policy)
+    assert ref[1] == stop
+    if length is not None:
+        assert ref[0].size == length
+    orbit = dynamics.iterate(spec, start, n_max, policy)
+    assert orbit.start is start
+    assert orbit.points.ndim == 1
+    _assert_same(orbit, ref)
+
+
+def test_planar_fixed_point_off_the_ball_stride():
+    # planar orbits test for a fixed point at every step, not every 16th
+    for name in ("affine_contraction", "shrink"):
+        spec, start, n_max, _, _ = PLANAR_CASES[name]
+        orbit = dynamics.iterate(spec, start, n_max)
+        assert orbit.stop_reason == "interior_fixed_point"
+        assert (orbit.length - 2) % 16 != 0
+
+
+@pytest.mark.parametrize(
+    "spec, start",
+    [
+        (maps.HalfplaneAffine(1.0, -1.0), 300.5 + 2j),  # Re z falls through zero
+        (maps.HalfplaneAffine(1.0, -0.75), 700.25),
+        (maps.Conjugated(maps.HalfplaneAffine(1.0, -1.0)), 0.99),  # the disk image of the above
+        (maps.Conjugated(maps.DiskMoebius(0.0, 0.0)), -1.0 + 0.5j),  # outside: DomainError
+    ],
+)
+def test_planar_evaluation_error_matches_scalar_loop(spec, start):
+    if maps.domain_margin(spec.model, start) <= 0.0:
+        with pytest.raises(DomainError):
+            dynamics.iterate(spec, start, 1000)
+        return
+    ref = _evaluation_error(lambda: reference_planar_orbit(spec, start, 1000))
+    assert _evaluation_error(lambda: dynamics.iterate(spec, start, 1000)) == ref
+
+
+def test_planar_map_errors_before_the_stop():
+    spec = PlanarRaiseBeyond(1.0, 500.0)
+    with pytest.raises(ValueError):
+        reference_planar_orbit(spec, 1.0, 1000)
+    with pytest.raises(ValueError):
+        dynamics.iterate(spec, 1.0, 1000)
+    _assert_same(dynamics.iterate(spec, 1.0, 300), reference_planar_orbit(spec, 1.0, 300))
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 17, 255, 256, 257, 4097])
+def test_planar_engine_block_edges(n_max):
+    for spec, start in [(maps.HalfplaneAffine(1.0, 1.0 + 1j), 1.0),
+                        (maps.DiskMoebius(0.2 + 0.1j, 1.0), 0.5j)]:
+        _assert_same(dynamics.iterate(spec, start, n_max),
+                     reference_planar_orbit(spec, start, n_max))
+
+
+class PlanarShift:
+    """z -> z + d on the disk."""
+
+    model = "disk"
+
+    def __init__(self, d):
+        self.d = d
+
+    def __call__(self, z):
+        return z + self.d
+
+
+def test_planar_fixed_point_threshold_in_scalar_arithmetic():
+    # tolerances at the displacement itself, as the scalar and the array abs
+    # compute it (they can differ in the last bit): the stop must match the loop
+    rng = np.random.default_rng(40)
+    for _ in range(300):
+        d = complex(*rng.normal(size=2)) * 1e-14
+        spec = PlanarShift(d)
+        for tol in {abs(d), float(np.abs(np.array([d]))[0])}:
+            for tol in (tol, np.nextafter(tol, 1.0)):
+                policy = StoppingPolicy(fixed_point_tol=tol)
+                _assert_same(dynamics.iterate(spec, 0j, 3, policy),
+                             reference_planar_orbit(spec, 0j, 3, policy))

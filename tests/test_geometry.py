@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -124,6 +126,86 @@ def test_cayley_ball_roundtrip_and_normalization():
         S = g.cayley_ball_to_siegel(Z)
         back = g.cayley_siegel_to_ball(S).coords
         assert np.allclose(back, Z, atol=1e-12)
+
+
+# the Cayley pair against the formulas each site wrote out before the pair;
+# planar points include signed zeros and magnitudes up to 1e12
+
+
+def _bits(x):
+    if isinstance(x, np.ndarray):
+        return x.dtype, x.shape, x.tobytes()
+    return type(x), x.real.hex(), x.imag.hex()
+
+
+def _planar_samples(rng, count=300):
+    zs = [complex(np.exp(rng.uniform(-5, 20)), rng.normal(0, 1) * np.exp(rng.uniform(-5, 20)))
+          for _ in range(count)]
+    return zs + [1.0 + 0j, complex(2.0, -0.0), complex(0.0, 3.0), complex(1e12, -0.0)]
+
+
+def _disk_samples(rng, count=300):
+    us = [complex(*rng.uniform(-0.7, 0.7, 2)) for _ in range(count)]
+    return us + [0j, complex(0.3, -0.0), complex(-0.0, 0.5), complex(1.0 - 2e-16, 0.0)]
+
+
+def test_cayley_pair_on_numbers_keeps_their_arithmetic():
+    rng = np.random.default_rng(20)
+    for z in _planar_samples(rng):
+        for x in (z, np.complex128(z)):
+            assert _bits(g.siegel_to_ball_array(x)) == _bits((x - 1.0) / (x + 1.0))
+    for u in _disk_samples(rng):
+        for x in (u, np.complex128(u)):
+            assert _bits(g.ball_to_siegel_array(x)) == _bits((1.0 + x) / (1.0 - x))
+        assert _bits(g.cayley_disk_to_halfplane(u).z) == _bits((1.0 + u) / (1.0 - u))
+    for z in _planar_samples(rng):
+        # on the boundary or far out, the image is (or rounds onto) the circle
+        if z.real > 0.0 and abs((z - 1.0) / (z + 1.0)) < 1.0:
+            assert _bits(g.cayley_halfplane_to_disk(z).z) == _bits((z - 1.0) / (z + 1.0))
+
+
+def _siegel_to_ball_point(arr):
+    denom = arr[0] + 1.0
+    return np.concatenate(([(arr[0] - 1.0) / denom], 2.0 * arr[1:] / denom))
+
+
+def _ball_to_siegel_point(arr):
+    denom = 1.0 - arr[0]
+    return np.concatenate(([(1.0 + arr[0]) / denom], arr[1:] / denom))
+
+
+def _siegel_to_ball_rows(P):
+    out = np.empty_like(P)
+    denom = P[:, 0] + 1.0
+    out[:, 0] = (P[:, 0] - 1.0) / denom
+    out[:, 1:] = 2.0 * P[:, 1:] / denom[:, None]
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_cayley_pair_on_points_and_orbits(dim):
+    rng = np.random.default_rng(21 + dim)
+    P = rand_siegel(rng, dim=dim, count=200)
+    P[:, 0] *= np.exp(rng.uniform(0, 25, 200))
+    P[0, 1:] = -0.0
+    B = rand_ball(rng, dim=dim, count=200)
+    for p, b in zip(P, B):
+        assert _bits(g.siegel_to_ball_array(p)) == _bits(_siegel_to_ball_point(p))
+        assert _bits(g.ball_to_siegel_array(b)) == _bits(_ball_to_siegel_point(b))
+        assert _bits(g.cayley_siegel_to_ball(p).coords) == _bits(_siegel_to_ball_point(p))
+        assert _bits(g.cayley_ball_to_siegel(b).coords) == _bits(_ball_to_siegel_point(b))
+    assert _bits(g.siegel_to_ball_array(P)) == _bits(_siegel_to_ball_rows(P))
+    rows = np.array([_ball_to_siegel_point(b) for b in B])
+    assert _bits(g.ball_to_siegel_array(B)) == _bits(rows)
+
+
+def test_cayley_pair_is_an_inverse_pair():
+    rng = np.random.default_rng(25)
+    P = rand_siegel(rng, dim=3, count=50)
+    assert np.allclose(g.ball_to_siegel_array(g.siegel_to_ball_array(P)), P, rtol=1e-12)
+    for _ in range(50):
+        z = complex(np.exp(rng.uniform(-2, 5)), rng.normal(0, 10))
+        assert g.ball_to_siegel_array(g.siegel_to_ball_array(z)) == pytest.approx(z, rel=1e-12)
 
 
 def test_cayley_is_isometry_planar():
@@ -260,3 +342,16 @@ def test_frozen_arrays():
     p = g.BallPoint(0.1, [0.2])
     with pytest.raises(ValueError):
         p.w[0] = 0.0
+
+
+@pytest.mark.parametrize(
+    "fn", [g.special_ratio, g.koranyi_quotient, g.projection_nt_quotient, g.tangency_angle]
+)
+def test_quotients_reject_the_zero_boundary_vector(fn):
+    Z = np.array([0.2, 0.1j], np.complex128)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            fn(Z, [0.0, 0.0])
+    # a raw vector is normalized as BoundaryPoint normalizes it
+    assert fn(Z, [2.0, 0.0]) == fn(Z, g.BoundaryPoint([1.0, 0.0]))

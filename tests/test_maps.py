@@ -123,6 +123,75 @@ def test_conjugated_siegel_ball():
     assert np.allclose(bf(Z), want, atol=1e-14)
 
 
+def reference_conjugated(inner, pt):
+    """Conjugated(inner)(pt) with the Cayley transforms written out, as before the shared pair."""
+    m = inner.model
+    if m == "halfplane":  # outer point is in the disk
+        z = (1.0 + pt) / (1.0 - pt)
+        r = inner(z)
+        return (r - 1.0) / (r + 1.0)
+    if m == "disk":
+        u = (pt - 1.0) / (pt + 1.0)
+        r = inner(u)
+        return (1.0 + r) / (1.0 - r)
+    if m == "siegel":  # outer point is in the ball
+        arr = np.asarray(pt, np.complex128)
+        denom = 1.0 - arr[0]
+        inner_pt = np.concatenate(([(1.0 + arr[0]) / denom], arr[1:] / denom))
+        r = inner(inner_pt)
+        return np.concatenate(([(r[0] - 1.0) / (r[0] + 1.0)], 2.0 * r[1:] / (r[0] + 1.0)))
+    arr = np.asarray(pt, np.complex128)
+    denom = arr[0] + 1.0
+    inner_pt = np.concatenate(([(arr[0] - 1.0) / denom], 2.0 * arr[1:] / denom))
+    r = inner(inner_pt)
+    d2 = 1.0 - r[0]
+    return np.concatenate(([(1.0 + r[0]) / d2], r[1:] / d2))
+
+
+def _bits(x):
+    if isinstance(x, np.ndarray):
+        return x.dtype, x.shape, x.tobytes()
+    return type(x), x.real.hex(), x.imag.hex()
+
+
+def test_conjugated_matches_written_out_transforms_bit_for_bit():
+    rng = np.random.default_rng(30)
+    disk = [complex(*rng.uniform(-0.7, 0.7, 2)) for _ in range(200)] + [complex(0.3, -0.0), 0j]
+    half = [complex(np.exp(rng.uniform(-3, 12)), rng.normal(0, 50)) for _ in range(200)]
+    half += [complex(2.0, -0.0), 1.0 + 0j]
+    planar = [
+        # inner half-plane maps, outer points in the disk; Python and numpy results
+        (maps.HalfplanePerturbed(1j, 1.0), disk),
+        (maps.HalfplaneAffine(1.5, 0.25 - 1j), disk),
+        (maps.Conjugated(maps.DiskMoebius(0.3 - 0.1j, 1.0)), disk),
+        # inner disk maps, outer points in the half-plane
+        (maps.DiskMoebius(0.3 - 0.1j, 1.0), half),
+        (maps.Conjugated(maps.HalfplanePerturbed(1.0, 0.5 + 0.5j)), half),
+    ]
+    for inner, pts in planar:
+        f = maps.Conjugated(inner)
+        for p in pts:
+            for x in (p, np.complex128(p)):
+                assert _bits(f(x)) == _bits(reference_conjugated(inner, x))
+        grid = np.array(pts)
+        assert _bits(f(grid)) == _bits(reference_conjugated(inner, grid))
+        grid = grid.reshape(2, -1)
+        assert _bits(f(grid)) == _bits(reference_conjugated(inner, grid))
+    heis3 = maps.HeisenbergTranslation((0.3 + 0.1j, -0.2j), 0.5)
+    vector = [
+        (maps.SiegelTranslation(1.0 + 0.5j), 2),
+        (maps.HeisenbergTranslation((0.3 + 0.4j,), 1.0), 2),
+        (heis3, 3),
+        (maps.Conjugated(maps.HeisenbergTranslation((0.3 + 0.4j,), 1.0)), 2),
+        (maps.Conjugated(heis3), 3),
+    ]
+    for inner, dim in vector:
+        f = maps.Conjugated(inner)
+        pts = maps.sample_domain(f.model, 100, rng, dim)
+        for p in pts:
+            assert _bits(f(p)) == _bits(reference_conjugated(inner, p))
+
+
 def test_schwarz_pick_contraction_samples():
     rng = np.random.default_rng(1)
     f = maps.HalfplanePerturbed(1j, 1.0)  # strict contraction, not onto
@@ -160,8 +229,78 @@ def test_serialization_roundtrip_bit_exact():
         assert back == spec
 
 
+# the serialized form of every family, keys in order: harness labels and saved
+# configs depend on it
+SPEC_DICTS = [
+    (maps.DiskMoebius(0.1 - 0.7j, 2.5),
+     {"family": "DiskMoebius", "a": [0.1, -0.7], "theta": 2.5}),
+    (maps.HalfplaneAffine(1.5, 0.25 + 1j),
+     {"family": "HalfplaneAffine", "lam": 1.5, "b": [0.25, 1.0]}),
+    (maps.HalfplanePerturbed(1j, 0.125),
+     {"family": "HalfplanePerturbed", "b": [0.0, 1.0], "c": [0.125, 0.0]}),
+    (maps.SiegelTranslation(0.3 + 0.1j), {"family": "SiegelTranslation", "b": [0.3, 0.1]}),
+    (maps.HeisenbergTranslation((0.5 + 0.25j, 0.125), 1.75),
+     {"family": "HeisenbergTranslation", "a": [[0.5, 0.25], [0.125, 0.0]], "b": 1.75}),
+    (maps.Identity("ball"), {"family": "Identity", "model": "ball"}),
+    (maps.compose(maps.HalfplaneAffine(2.0), maps.HalfplaneAffine(1.0, 1j)),
+     {"family": "Composition", "parts": [
+         {"family": "HalfplaneAffine", "lam": 2.0, "b": [0.0, 0.0]},
+         {"family": "HalfplaneAffine", "lam": 1.0, "b": [0.0, 1.0]}]}),
+    (maps.Conjugated(maps.SiegelTranslation(1.0)),
+     {"family": "Conjugated", "inner": {"family": "SiegelTranslation", "b": [1.0, 0.0]}}),
+]
+
+
+@pytest.mark.parametrize("spec, want", SPEC_DICTS, ids=[w["family"] for _, w in SPEC_DICTS])
+def test_spec_to_dict_exact(spec, want):
+    d = maps.spec_to_dict(spec)
+    assert d == want
+    assert list(d) == list(want)
+    assert repr(d) == repr(want)  # the same value types, e.g. floats stay floats
+    assert maps.spec_from_dict(want) == spec
+
+
+def test_spec_from_dict_defaults_and_errors():
+    assert maps.spec_from_dict({"family": "DiskMoebius", "a": [0.5, 0.0]}) == maps.DiskMoebius(0.5)
+    affine = {"family": "HalfplaneAffine", "lam": 2.0}
+    assert maps.spec_from_dict(affine) == maps.HalfplaneAffine(2.0)
+    assert maps.spec_from_dict({"family": "HalfplanePerturbed", "b": [1.0, 0.0]}) == (
+        maps.HalfplanePerturbed(1.0))
+    assert maps.spec_from_dict({"family": "Identity"}) == maps.Identity("halfplane")
+    heis = {"family": "HeisenbergTranslation", "a": [[0.5, 0.0]], "extra": 1}
+    assert maps.spec_from_dict(heis) == maps.HeisenbergTranslation((0.5,))
+    with pytest.raises(ModelMismatchError):
+        maps.spec_from_dict({"family": "Nope"})
+    with pytest.raises(ModelMismatchError):
+        maps.spec_to_dict(object())
+    for d in ({"family": "SiegelTranslation"}, {"family": "Conjugated"},
+              {"family": "Composition"}, {"family": "HalfplaneAffine", "b": [0.0, 1.0]}):
+        with pytest.raises(KeyError):
+            maps.spec_from_dict(d)
+
+
 def test_sample_domain_stays_interior():
     rng = np.random.default_rng(3)
     for model in maps.MODELS:
         for pt in maps.sample_domain(model, 200, rng):
             assert maps.domain_margin(model, pt) > 0.0
+
+
+def test_dimension_comes_from_the_map():
+    heis3 = maps.HeisenbergTranslation((0.5, 0.3j))
+    assert maps.fixed_dim(heis3) == 3
+    assert maps.fixed_dim(maps.compose(maps.SiegelTranslation(1.0), heis3)) == 3
+    assert maps.fixed_dim(maps.Conjugated(heis3)) == 3
+    assert maps.fixed_dim(maps.SiegelTranslation(1.0)) is None
+    assert maps.fixed_dim(maps.HalfplaneAffine(1.0, 1.0)) is None
+    for spec in (heis3, maps.Conjugated(heis3), maps.compose(maps.SiegelTranslation(1.0), heis3)):
+        rep = maps.validate_self_map(spec, sample_count=100)
+        assert rep.sampled_ok and rep.worst_margin > 0.0
+
+
+def test_validate_self_map_keeps_the_two_dimensional_samples():
+    # maps that fix N = 2, or no N, sample exactly the points they sampled before
+    for spec in (maps.HeisenbergTranslation((0.5,)), maps.SiegelTranslation(1.0)):
+        rep = maps.validate_self_map(spec, sample_count=50, seed=4)
+        pts = maps.sample_domain(spec.model, 50, np.random.default_rng(4))
+        assert rep.worst_margin == min(maps.domain_margin(spec.model, spec(p)) for p in pts)

@@ -43,3 +43,32 @@ def test_svg_marks_endpoints():
     assert "seagreen" in svg  # start ring
     assert "darkorange" in svg  # highlighted tail
     assert svg.count("<circle") == 20 + 3  # markers + unit circle + 2 rings
+
+
+def reference_disk_coords(orbit):
+    """orbit_disk_coords with its own Cayley transforms, as before the shared pair."""
+    pts = orbit.points
+    if orbit.model == "disk":
+        return np.asarray(pts)
+    if orbit.model == "halfplane":
+        return (pts - 1.0) / (pts + 1.0)
+    if orbit.model == "ball":
+        return np.atleast_2d(pts)[:, 0]
+    z = np.atleast_2d(pts)[:, 0]
+    return (z - 1.0) / (z + 1.0)
+
+
+def test_orbit_disk_coords_bit_for_bit_in_every_model():
+    cases = [
+        (maps.DiskMoebius(0.3 - 0.1j, 1.0), 0.2 + 0.1j),
+        (maps.HalfplanePerturbed(1j, 1.0), 2.0 - 1j),
+        (maps.Conjugated(maps.HeisenbergTranslation((0.3 + 0.4j,), 1.0)),
+         np.array([0.2 + 0.1j, -0.3j], np.complex128)),
+        (maps.HeisenbergTranslation((0.3 + 0.1j, -0.2j), 0.5),
+         np.array([1.5, 0.2, 0.1j], np.complex128)),
+    ]
+    for spec, start in cases:
+        orb = dynamics.iterate(spec, start, 3000)
+        got, want = plotting.orbit_disk_coords(orb), reference_disk_coords(orb)
+        assert got.shape == want.shape == (orb.length,)
+        assert got.tobytes() == want.tobytes()
