@@ -235,10 +235,14 @@ def cmd_harness(cfg, args) -> int:
     else:
         suite = diagnostics.default_harness_suite(seed=args.seed)
     rep = diagnostics.theorem_harness(suite, budgets)
+    # the approach statistics that decided the flags, empty for skipped rows
+    stats = ["special_ratio_tail_mean", "nt_tail_max", "koranyi_sup_tail",
+             "euclid_nt_tail_max", "tangency_tail_max"]
     header = ["case", "type", "restricted", "step_verdict", "final_step", "radial_dev",
-              "passed", "skipped", "notes"]
+              "passed", "skipped", "notes"] + stats
     rows = []
     for r in rep.rows:
+        ap = r.approach
         rows.append([
             r.label.replace(",", ";"),
             r.classified_type,
@@ -249,7 +253,7 @@ def cmd_harness(cfg, args) -> int:
             str(r.passed),
             str(r.skipped),
             r.notes.replace(",", ";"),
-        ])
+        ] + [_fmt(getattr(ap, f)) if ap is not None else "" for f in stats])
     _write_csv(os.path.join(args.out, "harness.csv"), header, rows)
     summary = (
         f"rows: {len(rep.rows)} passed: {rep.n_passed} failed: {rep.n_failed} "

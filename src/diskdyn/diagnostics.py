@@ -38,11 +38,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ApproachReport:
+    """Approach flags with the tail statistics that decided them.
+
+    is_special:       special_ratio_tail_mean < tol_ratio
+    is_restricted:    is_special and nt_tail_max < m_cap
+    in_koranyi:       koranyi_sup_tail < m_cap
+    is_nontangential: euclid_nt_tail_max < m_cap
+    """
+
     X: BoundaryPoint
     koranyi_sup_tail: float
-    special_ratio_tail: np.ndarray
-    nt_quotient_tail: np.ndarray
-    tangency_angle_tail: np.ndarray
+    special_ratio_tail_mean: float
+    nt_tail_max: float
+    tangency_tail_max: float
+    euclid_nt_tail_max: float
     is_special: bool
     is_restricted: bool
     in_koranyi: bool
@@ -113,20 +122,21 @@ def approach_report(
     k = max(2, int(round(n * tail_fraction)))
     if not (bdist[-1] < bdist[-k] or bdist[-1] < 1e-9) or bdist[-1] > 0.5:
         raise PreconditionError("orbit does not converge to the vertex X")
-    # copies: a tail view would keep the orbit's full-length series alive for
-    # as long as the report lives
-    sp_t, ko_t, nt_t, an_t, eu_t = (a[-k:].copy() for a in (special, koranyi, nt, angle, euclid))
-    ko_sup = float(ko_t.max())
-    is_special = float(sp_t.mean()) < tol_ratio
-    is_restricted = is_special and float(nt_t.max()) < m_cap
+    ko_sup = float(koranyi[-k:].max())
+    sp_mean = float(special[-k:].mean())
+    nt_max = float(nt[-k:].max())
+    eu_max = float(euclid[-k:].max())
+    is_special = sp_mean < tol_ratio
+    is_restricted = is_special and nt_max < m_cap
     in_koranyi = ko_sup < m_cap
-    is_nontangential = float(eu_t.max()) < m_cap
+    is_nontangential = eu_max < m_cap
     return ApproachReport(
         X,
         ko_sup,
-        sp_t,
-        nt_t,
-        an_t,
+        sp_mean,
+        nt_max,
+        float(angle[-k:].max()),
+        eu_max,
         is_special,
         is_restricted,
         in_koranyi,

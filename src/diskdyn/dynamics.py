@@ -137,9 +137,15 @@ def iterate(spec, start, n_max: int, policy: StoppingPolicy | None = None) -> Or
     that might stop, and only those steps go through the per-step rule of
     ``_check_step``.  The orbit is the one a per-step check would give, and
     its points are a view of the buffer.
+
+    A map with a block method (Siegel and Heisenberg translations and their
+    compositions, see :mod:`diskdyn.maps`) fills the whole block in one call,
+    as running sums that equal its step-by-step points bit for bit; every
+    other map is called once per step.
     """
     policy = policy or StoppingPolicy()
     model = spec.model
+    fill = getattr(spec, "_block", None)
     # a planar point stays a number, so the map keeps its own arithmetic
     cur = complex(start) if model in maps.PLANAR else np.array(start, np.complex128).reshape(-1)
     if maps.domain_margin(model, cur) <= 0.0:
@@ -151,13 +157,16 @@ def iterate(spec, start, n_max: int, policy: StoppingPolicy | None = None) -> Or
     while t < n_max:
         end = min(t + _BLOCK, n_max)
         exc = None
-        for j in range(t + 1, end + 1):
-            try:
-                cur = spec(cur)
-                buf[j] = cur
-            except Exception as err:  # raised only if no earlier step stops
-                exc, end = err, j - 1
-                break
+        if fill is not None:
+            fill(buf[t], buf[t + 1 : end + 1])
+        else:
+            for j in range(t + 1, end + 1):
+                try:
+                    cur = spec(cur)
+                    buf[j] = cur
+                except Exception as err:  # raised only if no earlier step stops
+                    exc, end = err, j - 1
+                    break
         block = rows[t : end + 1]
         for i in np.flatnonzero(~_screen(model, policy, block, t)).tolist():
             reason, kept = _check_step(model, policy, block[i + 1], block[i], t + i)

@@ -12,12 +12,22 @@ The built-in families cover the dynamical taxonomy with closed-form oracles:
 * ``HalfplanePerturbed``     z + b + c/(z+1): non-automorphism parabolic maps
 * ``SiegelTranslation``      (z, w) -> (z + b, w)
 * ``HeisenbergTranslation``  parabolic ball automorphism with non-special orbits
+
+``SiegelTranslation``, ``HeisenbergTranslation`` and any ``Composition`` of
+them also step a whole block of an orbit at once (their private ``_block``,
+which ``dynamics.iterate`` uses).  Their w moves by a fixed ``a`` and their z
+by terms known from w, so every coordinate of the block is a running sum of
+per-step terms.  ``np.add.accumulate`` adds those terms one after the other,
+in the order ``__call__`` adds them, and a step that leaves w alone copies
+it; the block therefore holds the points that step-by-step calls give, bit
+for bit.  Every other map is stepped one call at a time.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import MISSING, dataclass, field, fields
+from functools import partial
 from typing import ClassVar
 
 import numpy as np
@@ -119,6 +129,9 @@ class SiegelTranslation:
         out[0] += self.b
         return out
 
+    def _block(self, cur, out):
+        _translate_block((self,), cur, out)
+
     def params_ok(self) -> bool:
         return self.b.real >= 0.0
 
@@ -147,12 +160,13 @@ class HeisenbergTranslation:
         )
 
     def __call__(self, pt):
-        w = pt[1:]
-        out = np.empty_like(np.asarray(pt, np.complex128))
-        # <w, a> = sum w conj(a)
-        out[0] = pt[0] + 2.0 * np.vdot(self._a_arr, w) + self._shift
-        out[1:] = w + self._a_arr
-        return out
+        z, *w = np.asarray(pt, np.complex128).tolist()
+        re, im = _inner(w, self.a)
+        z = z + complex(2.0 * re, 2.0 * im) + self._shift
+        return np.array([z] + [wj + aj for wj, aj in zip(w, self.a)])
+
+    def _block(self, cur, out):
+        _translate_block((self,), cur, out)
 
     def params_ok(self) -> bool:
         return True
@@ -209,6 +223,12 @@ class Composition:
             pt = f(pt)
         return pt
 
+    @property
+    def _block(self):
+        """The block method of the composed translations; None unless every part has one."""
+        steps = _translations(self)
+        return None if steps is None else partial(_translate_block, steps)
+
     def params_ok(self) -> bool:
         return all(p.params_ok() for p in self.parts)
 
@@ -241,6 +261,69 @@ class Conjugated:
 
     def is_automorphism(self) -> bool:
         return self.inner.is_automorphism()
+
+
+def _inner(w, a):
+    """<w, a> = sum_j w[j] conj(a[j]) as (real, imag).
+
+    Each w[j] is a number, or an array for a block of points.  Plain float
+    arithmetic, j in order, so that one point and a block of points round
+    alike; np.vdot's BLAS kernel rounds its own way for len(a) > 1.
+    """
+    if len(w) != len(a):
+        raise ValueError(f"w has {len(w)} coordinates, a has {len(a)}")
+    re = im = 0.0
+    for wj, aj in zip(w, a):
+        re = re + (wj.real * aj.real + wj.imag * aj.imag)
+        im = im + (wj.imag * aj.real - wj.real * aj.imag)
+    return re, im
+
+
+def _translations(spec):
+    """The Siegel/Heisenberg translations spec applies, first applied first, or None."""
+    if isinstance(spec, (SiegelTranslation, HeisenbergTranslation)):
+        return (spec,)
+    if isinstance(spec, Composition):
+        parts = [_translations(p) for p in reversed(spec.parts)]
+        if all(p is not None for p in parts):
+            return sum(parts, ())
+    return None
+
+
+def _translate_block(steps, cur, out):
+    """Fill out (m, N) with the m points after cur (N,) of the orbit of steps.
+
+    One orbit step applies the translations of steps in order.  Every w and
+    z is a running sum taken with np.add.accumulate, which adds in sequence;
+    its terms come in the order the ``__call__`` methods add them.
+    """
+    m = out.shape[0]
+    moves = [s._a_arr for s in steps if isinstance(s, HeisenbergTranslation)]
+    h = len(moves)
+    # ws[k h + i] is w before the i-th w-moving translation of step k
+    ws = np.empty((m * h + 1, cur.size - 1), np.complex128)
+    ws[0] = cur[1:]
+    if h:
+        ws[1:].reshape(m, h, cur.size - 1)[:] = moves
+        np.add.accumulate(ws, axis=0, out=ws)
+    terms = []  # the z terms of one step, in the order __call__ adds them
+    i = 0
+    for s in steps:
+        if isinstance(s, HeisenbergTranslation):
+            re, im = _inner(ws[i:-1:h].T, s.a)
+            t = np.empty(m, np.complex128)
+            t.real, t.imag = 2.0 * re, 2.0 * im
+            terms += [t, s._shift]
+            i += 1
+        else:
+            terms.append(s.b)
+    zs = np.empty(m * len(terms) + 1, np.complex128)
+    zs[0] = cur[0]
+    for c, t in enumerate(terms):
+        zs[1 + c :: len(terms)] = t
+    np.add.accumulate(zs, out=zs)
+    out[:, 0] = zs[len(terms) :: len(terms)]
+    out[:, 1:] = ws[h::h] if h else cur[1:]  # a copy keeps the sign of a zero
 
 
 FAMILIES = {

@@ -115,6 +115,32 @@ def test_harness_command_custom_suite(tmp_path):
     assert "failed: 0" in summary
 
 
+def test_harness_csv_holds_the_deciding_statistics(tmp_path):
+    cfg = {
+        "n_max": 20000,
+        "suite": [
+            {"map": {"family": "SiegelTranslation", "b": [1.0, 0.0]},
+             "start": [[1.0, 0.0], [0.3, 0.0]]},
+            {"map": {"family": "HeisenbergTranslation", "a": [[1.0, 0.0]], "b": 0.0},
+             "start": [[2.0, 0.0], [0.0, 0.0]]},
+            {"map": {"family": "HalfplaneAffine", "lam": 2.0, "b": [0.0, 0.0]},
+             "start": [1.0, 0.0]},
+        ],
+    }
+    assert run(tmp_path, "harness", cfg) == 0
+    header, rows = read_csv(tmp_path / "harness.csv")
+    stats = ["special_ratio_tail_mean", "nt_tail_max", "koranyi_sup_tail",
+             "euclid_nt_tail_max", "tangency_tail_max"]
+    assert header[-5:] == stats
+    rec = [dict(zip(header, r)) for r in rows]
+    assert [r["restricted"] for r in rec] == ["True", "False", "None"]
+    # the default thresholds: tol_ratio 1e-2 and m_cap 1e3
+    for r in rec[:2]:
+        restricted = float(r["special_ratio_tail_mean"]) < 1e-2 and float(r["nt_tail_max"]) < 1e3
+        assert r["restricted"] == str(restricted)
+    assert [rec[2][s] for s in stats] == [""] * 5
+
+
 def test_probe_command(tmp_path):
     cfg = {"map": {"family": "HalfplaneAffine", "lam": 1.0, "b": [1.0, 0.0]},
            "n_max": 20000}

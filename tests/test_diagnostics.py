@@ -59,6 +59,38 @@ def test_ball_orbit_needs_vertex():
         diagnostics.approach_report(orb)
 
 
+APPROACH_ORBITS = {
+    "siegel": (maps.SiegelTranslation(1.0), [1.0, 0.3], None),
+    "heisenberg": (maps.HeisenbergTranslation((1.0 + 0j,), 0.0), [2.0, 0.0], None),
+    "ball": (maps.Conjugated(maps.SiegelTranslation(1.0)), [0.0, 0.1], BoundaryPoint.e1(2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(APPROACH_ORBITS))
+def test_approach_flags_follow_their_statistics(name):
+    spec, start, X = APPROACH_ORBITS[name]
+    orb = dynamics.iterate(spec, np.array(start, np.complex128), 20_000)
+    ap = diagnostics.approach_report(orb, X)
+    special, koranyi, nt, angle, euclid, _ = diagnostics._orbit_series(orb, ap.X)
+    k = max(2, int(round(special.size * 0.2)))
+    assert ap.special_ratio_tail_mean == float(special[-k:].mean())
+    assert ap.nt_tail_max == float(nt[-k:].max())
+    assert ap.koranyi_sup_tail == float(koranyi[-k:].max())
+    assert ap.euclid_nt_tail_max == float(euclid[-k:].max())
+    assert ap.tangency_tail_max == float(angle[-k:].max())
+    # thresholds at each statistic and one ulp above it flip the flag it decides
+    tols = [1e-2, ap.special_ratio_tail_mean]
+    caps = [1e3, ap.nt_tail_max, ap.koranyi_sup_tail, ap.euclid_nt_tail_max]
+    for tol_ratio in tols + [np.nextafter(t, np.inf) for t in tols]:
+        for m_cap in caps + [np.nextafter(c, np.inf) for c in caps]:
+            r = diagnostics.approach_report(orb, X, tol_ratio=tol_ratio, m_cap=m_cap)
+            assert r.is_special == (r.special_ratio_tail_mean < tol_ratio)
+            assert r.is_restricted == (r.is_special and r.nt_tail_max < m_cap)
+            assert r.in_koranyi == (r.koranyi_sup_tail < m_cap)
+            assert r.is_nontangential == (r.euclid_nt_tail_max < m_cap)
+            assert r.koranyi_M == (r.koranyi_sup_tail if r.in_koranyi else np.inf)
+
+
 def test_radial_quotient_tends_to_one_for_translation():
     orb = siegel_orbit(maps.SiegelTranslation(1.0), [1.0, 0.0])
     rq = diagnostics.radial_quotient_series(orb)

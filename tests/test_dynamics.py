@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from diskdyn import dynamics, maps
+from diskdyn import diagnostics, dynamics, maps
 from diskdyn.dynamics import Budgets, StoppingPolicy
 from diskdyn.errors import DomainError, EstimationError, EvaluationError, PreconditionError
 
@@ -338,7 +338,23 @@ ENGINE_CASES = {
                         ["boundary_proximity"] * 3),
     "raise_past_stop_pair": (RaiseBeyond(1e9, 1e12), _siegel([1.0, 0.0], [5e11, 0.0]), 1000,
                              ["boundary_proximity"] * 2),
+    "heisenberg_5d": (maps.HeisenbergTranslation((0.3 + 0.1j, -0.2j, 0.5, 0.1 - 0.4j), 0.25),
+                      _siegel([2.5, 0.2, 0.1j, -0.3, 0.1 + 0.1j], [3.0, 0.0, 0.0, 0.0, 0.0],
+                              [4.0 - 1.0j, -0.3, 0.4, 0.2j, 0.5]), 700,
+                      ["max_iter"] * 3),
+    # w keeps its -0.0 imaginary part only if the Siegel step copies w
+    "signed_zero": (maps.compose(maps.SiegelTranslation(1.0),
+                                 maps.HeisenbergTranslation((complex(0.5, -0.0),))),
+                    _siegel([1.5, complex(0.2, -0.0)], [complex(2.0, -0.0), complex(-0.0, -0.0)]), 600,
+                    ["max_iter"] * 2),
 }
+
+# every distinct map of the default harness suite, from its suite starts
+_HARNESS_STARTS = {}
+for _spec, _start in diagnostics.default_harness_suite(0):
+    _HARNESS_STARTS.setdefault(_spec, []).append(_start)
+for _i, (_spec, _starts) in enumerate(_HARNESS_STARTS.items()):
+    ENGINE_CASES[f"harness_{_i:02d}"] = (_spec, _starts, 900, ["max_iter"] * len(_starts))
 
 
 # stopping policies other than the default, by case
@@ -384,6 +400,32 @@ def test_engine_evaluation_error_matches_per_step_loop():
     # like a loop over the starts, the batch raises the first start's error
     assert _evaluation_error(lambda: dynamics.iterate_batch(spec, starts, 2000)) == refs[0]
     assert _evaluation_error(lambda: dynamics.iterate_batch(spec, starts[1:], 2000)) == refs[1]
+
+
+@pytest.mark.parametrize("spec", [
+    maps.compose(maps.SiegelTranslation(-1.0 + 0.5j), maps.HeisenbergTranslation((0.25 + 0j,))),
+    maps.compose(maps.HeisenbergTranslation((0.1j,), 1.0), maps.SiegelTranslation(-0.5)),
+])
+def test_block_map_evaluation_error_matches_per_step_loop(spec):
+    # Re b < 0 lowers Re z - ||w||^2 by |Re b| a step; the starts leave at different steps
+    starts = _siegel([700.25, 0.5], [300.5, 0.25j], [1000.125, 0.0])
+    refs = [_evaluation_error(lambda s=s: reference_orbit(spec, s, 3000)) for s in starts]
+    assert len(set(refs)) == 3
+    for s, ref in zip(starts, refs):
+        assert _evaluation_error(lambda s=s: dynamics.iterate(spec, s, 3000)) == ref
+    assert _evaluation_error(lambda: dynamics.iterate_batch(spec, starts, 3000)) == refs[0]
+
+
+@pytest.mark.parametrize("spec, start", [
+    (maps.HeisenbergTranslation((0.5,)), [2.0, 0.1, 0.1]),
+    (maps.HeisenbergTranslation((0.5, 0.1j)), [2.0, 0.1]),
+    (maps.compose(maps.SiegelTranslation(1.0), maps.HeisenbergTranslation((0.5,))), [2.0, 0.1, 0.1]),
+])
+def test_heisenberg_rejects_points_of_another_dimension(spec, start):
+    with pytest.raises(ValueError):
+        spec(np.array(start, np.complex128))
+    with pytest.raises(ValueError):
+        dynamics.iterate(spec, start, 10)
 
 
 def test_engine_error_order_follows_the_starts():
@@ -448,6 +490,16 @@ def test_classify_iterates_each_start_once(monkeypatch, spec):
     assert len(calls) == len(starts)
     for (args, _), s in zip(calls, starts):
         assert np.array_equal(args[1], s)
+
+
+def test_iterate_fills_translation_blocks_without_map_calls(monkeypatch):
+    calls = []
+    for cls in (maps.SiegelTranslation, maps.HeisenbergTranslation, maps.Composition):
+        _count_calls(monkeypatch, cls, "__call__", calls)
+    for spec, starts in _HARNESS_STARTS.items():
+        orbit = dynamics.iterate(spec, starts[0], 10_000)
+        assert orbit.length == 10_001
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
