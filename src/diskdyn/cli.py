@@ -62,7 +62,7 @@ def write_atomic(path: str, text: str) -> None:
 def _parse_point(v, model: str):
     if isinstance(v, (int, float)):
         v = [v, 0.0]
-    if model in maps.PLANAR:
+    if maps.MODELS[model].planar:
         if v and isinstance(v[0], list):
             v = v[0]
         return complex(v[0], v[1])
@@ -319,12 +319,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--n-max", type=int, default=None)
-        p.add_argument("--format", choices=("csv", "structured"), default="csv")
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
         cfg = _load_config(args.config) if args.config else {}
     except (OSError, json.JSONDecodeError) as exc:

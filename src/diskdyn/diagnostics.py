@@ -18,10 +18,10 @@ import numpy as np
 
 from . import geometry, maps
 from .dynamics import (
-    Budgets, Orbit, _fit_starts, classify, default_starts, iterate, step_series,
+    Budgets, Orbit, _fit_starts, classify, iterate, step_series,
 )
 from .errors import PreconditionError
-from .geometry import BoundaryPoint
+from .geometry import MODELS, BoundaryPoint
 
 __all__ = [
     "ApproachReport",
@@ -70,9 +70,9 @@ class ApproachReport:
 
 
 def _orbit_series(orbit: Orbit, X):
-    """(special, koranyi, nt, angle, euclid_nt, boundary_dist) series."""
+    """(special, koranyi, nt, angle, euclid_nt, boundary_dist); _resolve_vertex checked X."""
     pts = orbit.points
-    if orbit.model == "siegel":
+    if MODELS[orbit.model].unbounded:
         return (
             geometry.special_ratio_series_siegel(pts),
             geometry.koranyi_series_siegel(pts),
@@ -81,27 +81,28 @@ def _orbit_series(orbit: Orbit, X):
             geometry.euclid_nt_series_siegel(pts),
             geometry.boundary_dist_series_siegel(pts),
         )
-    if orbit.model == "ball":
-        x = X.X
-        return (
-            geometry.special_ratio_series_ball(pts, x),
-            geometry.koranyi_series_ball(pts, x),
-            geometry.nt_quotient_series_ball(pts, x),
-            geometry.tangency_angle_series_ball(pts, x),
-            geometry.euclid_nt_series_ball(pts, x),
-            geometry.boundary_dist_series_ball(pts, x),
-        )
-    raise PreconditionError("approach analysis needs a ball or Siegel orbit")
+    x = X.X
+    return (
+        geometry.special_ratio_series_ball(pts, x),
+        geometry.koranyi_series_ball(pts, x),
+        geometry.nt_quotient_series_ball(pts, x),
+        geometry.tangency_angle_series_ball(pts, x),
+        geometry.euclid_nt_series_ball(pts, x),
+        geometry.boundary_dist_series_ball(pts, x),
+    )
 
 
 def _resolve_vertex(orbit: Orbit, X) -> BoundaryPoint:
+    model = MODELS[orbit.model]
+    if model.planar:
+        raise PreconditionError("approach analysis needs a ball or Siegel orbit")
     if X is None:
-        if orbit.model == "siegel":
+        if model.unbounded:
             return BoundaryPoint.infinity()
         raise PreconditionError("ball orbits need an explicit vertex X")
     if not isinstance(X, BoundaryPoint):
         X = BoundaryPoint(np.asarray(X, np.complex128))
-    if orbit.model == "siegel" and not X.at_infinity:
+    if model.unbounded and not X.at_infinity:
         raise PreconditionError("Siegel orbits are analyzed at the vertex infinity")
     return X
 
@@ -148,7 +149,7 @@ def approach_report(
 def radial_quotient_series(orbit: Orbit, X=None) -> np.ndarray:
     """(1 - <Z_{n+1}, X>)/(1 - <Z_n, X>); tends to 1 for restricted parabolic orbits."""
     X = _resolve_vertex(orbit, X)
-    if orbit.model == "siegel":
+    if MODELS[orbit.model].unbounded:
         return geometry.radial_quotient_series_siegel(orbit.points)
     return geometry.radial_quotient_series_ball(orbit.points, X.X)
 
@@ -333,15 +334,8 @@ def conjecture_probe(spec, starts=None, budgets: Budgets | None = None) -> Probe
     """
     budgets = budgets or Budgets()
     if starts is None:
-        starts = default_starts(spec.model)
-        if spec.model in maps.PLANAR:
-            starts += [3.0 - 1.0j, 1.5 + 2.0j]
-        else:
-            starts += [
-                np.array([3.0, 0.5], np.complex128),
-                np.array([2.0 + 2.0j, -0.4j], np.complex128),
-            ]
-        starts = _fit_starts(spec, starts)
+        model = MODELS[spec.model]
+        starts = _fit_starts(spec, [model.point(s) for s in model.starts + model.probe_starts])
     if len(starts) < 5:
         raise PreconditionError("the probe wants at least 5 starts")
     rep = classify(spec, budgets=Budgets(n_max=20_000))

@@ -6,14 +6,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import geometry, maps
+from . import maps
 from .errors import (
     DomainError,
     EstimationError,
     EvaluationError,
     PreconditionError,
 )
-from .geometry import BoundaryPoint
+from .geometry import MODELS, BoundaryPoint, Model
 
 __all__ = [
     "Budgets",
@@ -82,25 +82,8 @@ class ClassificationReport:
 
 
 def default_starts(model: str):
-    if model == "disk":
-        return [0.0 + 0.0j, 0.3 + 0.2j, -0.4 + 0.1j]
-    if model == "halfplane":
-        return [1.0 + 0.0j, 2.0 + 1.0j, 0.5 - 0.5j]
-    if model == "ball":
-        return [
-            np.array([0.0, 0.0], np.complex128),
-            np.array([0.2 + 0.1j, 0.3], np.complex128),
-            np.array([-0.3, 0.1 - 0.2j], np.complex128),
-        ]
-    if model == "siegel":
-        # small w-components: translation orbits shed their w only like 1/n,
-        # so widely split starts would stall the Denjoy-Wolff agreement check
-        return [
-            np.array([1.0, 0.0], np.complex128),
-            np.array([2.0 + 1.0j, 0.1], np.complex128),
-            np.array([1.5 - 0.5j, -0.1j], np.complex128),
-        ]
-    raise DomainError(f"unknown model {model!r}")
+    m = MODELS[model]
+    return [m.point(s) for s in m.starts]
 
 
 def _fit_starts(spec, starts):
@@ -118,8 +101,9 @@ def _fit_starts(spec, starts):
 # vectorized over the block, instead of once per step; this serves all four
 # models, the planar ones as the N = 1 case
 _BLOCK = 256
-# the fixed-point test is only a stopping shortcut, made every this many steps
-_FP_STRIDE = {"disk": 1, "halfplane": 1, "ball": 16, "siegel": 16}
+# the fixed-point test is only a stopping shortcut, made every this many
+# ball/Siegel steps; planar orbits make it at every step
+_FP_STRIDE = 16
 # the block screen widens every threshold by this relative slack, so that its
 # vectorized rounding can only add candidate steps for the exact per-step
 # check, never hide a step where that check stops.  Two orders of summing the
@@ -144,12 +128,12 @@ def iterate(spec, start, n_max: int, policy: StoppingPolicy | None = None) -> Or
     other map is called once per step.
     """
     policy = policy or StoppingPolicy()
-    model = spec.model
+    model = MODELS[spec.model]
     fill = getattr(spec, "_block", None)
     # a planar point stays a number, so the map keeps its own arithmetic
-    cur = complex(start) if model in maps.PLANAR else np.array(start, np.complex128).reshape(-1)
-    if maps.domain_margin(model, cur) <= 0.0:
-        raise DomainError(f"start lies outside the {model} domain")
+    cur = model.point(start)
+    if not model.margin(cur) > 0.0:  # NaN included
+        raise DomainError(f"start lies outside the {spec.model} domain")
     buf = np.empty((n_max + 1,) + np.shape(cur), np.complex128)
     rows = buf.reshape(n_max + 1, -1)  # planar points are the N = 1 case
     buf[0] = cur
@@ -171,11 +155,11 @@ def iterate(spec, start, n_max: int, policy: StoppingPolicy | None = None) -> Or
         for i in np.flatnonzero(~_screen(model, policy, block, t)).tolist():
             reason, kept = _check_step(model, policy, block[i + 1], block[i], t + i)
             if reason is not None:
-                return Orbit(spec, model, start, buf[: t + i + 1 + kept], reason)
+                return Orbit(spec, spec.model, start, buf[: t + i + 1 + kept], reason)
         if exc is not None:
             raise exc
         t = end
-    return Orbit(spec, model, start, buf, "max_iter")
+    return Orbit(spec, spec.model, start, buf, "max_iter")
 
 
 def iterate_batch(spec, starts, n_max: int, policy: StoppingPolicy | None = None) -> list:
@@ -186,13 +170,13 @@ def iterate_batch(spec, starts, n_max: int, policy: StoppingPolicy | None = None
     return [iterate(spec, s, n_max, policy) for s in starts]
 
 
-def _screen(model: str, policy: StoppingPolicy, pts, t: int):
+def _screen(model: Model, policy: StoppingPolicy, pts, t: int):
     """(m,) mask of the steps of pts that certainly pass _check_step.
 
     pts is (m + 1, N) and its point i is point t + i of the orbit.
     """
     nxt, cur = pts[1:], pts[:-1]
-    if model in ("halfplane", "siegel"):
+    if model.unbounded:
         x, w = nxt[..., 0].real, nxt[..., 1:]
     else:
         x, w = 1.0, nxt
@@ -200,18 +184,18 @@ def _screen(model: str, policy: StoppingPolicy, pts, t: int):
     margin = x - q
     slack = _SLACK * (np.abs(x) + q)
     clear = margin > slack
-    if model in ("disk", "ball"):
-        clear &= margin >= policy.boundary_gap + slack
-    else:
+    if model.unbounded:
         clear &= np.abs(nxt[..., 0]) <= policy.max_magnitude * (1.0 - _SLACK)
-    stride = _FP_STRIDE[model]
+    else:
+        clear &= margin >= policy.boundary_gap + slack
+    stride = 1 if model.planar else _FP_STRIDE
     first = -t % stride
     disp = np.abs(nxt[first::stride] - cur[first::stride]).max(axis=-1)
     clear[first::stride] &= disp >= policy.fixed_point_tol * (1.0 + _SLACK)
     return clear
 
 
-def _check_step(model: str, policy: StoppingPolicy, nxt, cur, k: int):
+def _check_step(model: Model, policy: StoppingPolicy, nxt, cur, k: int):
     """The stopping rule for step k, from the (N,) point cur to nxt.
 
     Returns (stop reason or None, whether nxt belongs to the orbit); raises
@@ -219,48 +203,26 @@ def _check_step(model: str, policy: StoppingPolicy, nxt, cur, k: int):
     checked in scalar arithmetic: numpy's array abs, for one, can differ from
     the scalar abs in the last bit.
     """
-    if model == "disk":
-        z = nxt[0]
-        margin = 1.0 - (z.real * z.real + z.imag * z.imag)
-    elif model == "ball":
-        margin = 1.0 - float(np.vdot(nxt, nxt).real)
-    else:  # Siegel, and the half-plane as its N = 1 case with an empty w
-        w = nxt[1:]
-        margin = nxt[0].real - float(np.vdot(w, w).real)
+    margin = model.margin(nxt)
     if not margin > 0.0:
         if margin != margin:  # NaN
             return "numeric_failure", False
         raise EvaluationError(
-            f"orbit left the {model} domain at step {k + 1}",
+            f"orbit left the {model.name} domain at step {k + 1}",
             index=k + 1,
             margin=float(margin),
         )
-    if model in ("disk", "ball"):
-        if margin < policy.boundary_gap:  # margin is 1 - ||.||^2 here
+    if model.unbounded:
+        if abs(nxt[0]) > policy.max_magnitude:
             return "boundary_proximity", True
-    elif abs(nxt[0]) > policy.max_magnitude:
+    elif margin < policy.boundary_gap:  # margin is 1 - ||.||^2 here
         return "boundary_proximity", True
-    if k % _FP_STRIDE[model] == 0:
+    if k % (1 if model.planar else _FP_STRIDE) == 0:
         d = nxt - cur
-        disp = abs(d[0]) if model in maps.PLANAR else float(np.abs(d).max())
+        disp = abs(d[0]) if model.planar else float(np.abs(d).max())
         if disp < policy.fixed_point_tol:
             return "interior_fixed_point", True
     return None, True
-
-
-_STEP_FN = {
-    "disk": geometry.step_series_disk,
-    "halfplane": geometry.step_series_halfplane,
-    "ball": geometry.step_series_ball,
-    "siegel": geometry.step_series_siegel,
-}
-
-_GAP_FN = {
-    "disk": geometry.boundary_gap_series_disk,
-    "halfplane": geometry.boundary_gap_series_halfplane,
-    "ball": geometry.boundary_gap_series_ball,
-    "siegel": geometry.boundary_gap_series_siegel,
-}
 
 
 def step_series(orbit: Orbit, tail_fraction: float = 0.1, tol_step: float = 1e-3) -> StepSeries:
@@ -273,7 +235,7 @@ def step_series(orbit: Orbit, tail_fraction: float = 0.1, tol_step: float = 1e-3
     """
     if orbit.length < 2:
         raise PreconditionError("orbit too short for a step series")
-    s = _STEP_FN[orbit.model](orbit.points)
+    s = MODELS[orbit.model].step_series(orbit.points)
     n = s.size
     tail = s[-max(1, int(round(n * tail_fraction))):]
     d_inf = float(tail.mean())
@@ -294,15 +256,6 @@ def step_series(orbit: Orbit, tail_fraction: float = 0.1, tol_step: float = 1e-3
 # Denjoy-Wolff point and multiplier
 
 
-def _closure_coords(model: str, pt):
-    """Represent a point (or its limit) in disk/ball closure coordinates."""
-    if model in maps.PLANAR:
-        pt = complex(pt)
-    if model in ("halfplane", "siegel"):
-        pt = geometry.siegel_to_ball_array(pt)
-    return np.asarray(pt, np.complex128).reshape(-1)
-
-
 def estimate_denjoy_wolff(spec, starts, n_max: int = 100_000, tol_dw: float = 1e-6):
     """Common orbit limit across starts, as (point, 'interior'|'boundary').
 
@@ -311,12 +264,14 @@ def estimate_denjoy_wolff(spec, starts, n_max: int = 100_000, tol_dw: float = 1e
     """
     if len(starts) < 2:
         raise PreconditionError("need at least 2 distinct starts")
-    return _common_limit(spec.model, iterate_batch(spec, starts, n_max), tol_dw)
+    return _common_limit(MODELS[spec.model], iterate_batch(spec, starts, n_max), tol_dw)
 
 
-def _common_limit(model: str, orbits, tol_dw: float):
+def _common_limit(model: Model, orbits, tol_dw: float):
     """estimate_denjoy_wolff from orbits already computed."""
-    finals = np.array([_closure_coords(model, orb.points[-1]) for orb in orbits])
+    # the last points in disk/ball closure coordinates
+    finals = np.array([np.atleast_1d(model.to_ball(model.point(orb.points[-1])))
+                       for orb in orbits])
     interior_hits = sum(orb.stop_reason == "interior_fixed_point" for orb in orbits)
     spread = max(
         float(np.linalg.norm(finals[i] - finals[j]))
@@ -346,7 +301,7 @@ def estimate_multiplier(spec, orbit: Orbit, tail_fraction: float = 0.1) -> Multi
     """liminf of (1 - ||f(Z_n)||)/(1 - ||Z_n||) via a running tail minimum."""
     if orbit.stop_reason == "interior_fixed_point":
         raise PreconditionError("multiplier is defined for boundary Denjoy-Wolff points")
-    gaps = _GAP_FN[orbit.model](orbit.points)
+    gaps = MODELS[orbit.model].gap_series(orbit.points)
     good = gaps > 0.0
     if not np.all(good):
         last = int(np.argmin(good))
@@ -361,18 +316,18 @@ def estimate_multiplier(spec, orbit: Orbit, tail_fraction: float = 0.1) -> Multi
 
 def _midpoint_fixed_point(spec, start, n_max: int = 20_000, tol: float = 1e-13):
     """Damped iteration p <- midpoint(p, f(p)); attracts elliptic fixed points."""
-    planar = spec.model in maps.PLANAR
-    cur = complex(start) if planar else np.array(start, np.complex128).reshape(-1)
+    model = MODELS[spec.model]
+    cur = model.point(start)
     for _ in range(n_max):
         try:
             nxt = spec(cur)
         except (ZeroDivisionError, FloatingPointError):
             return None
         mid = (cur + nxt) / 2.0
-        disp = abs(mid - cur) if planar else float(np.linalg.norm(mid - cur))
+        disp = abs(mid - cur) if model.planar else float(np.linalg.norm(mid - cur))
         cur = mid
         if disp < tol:
-            if maps.domain_margin(spec.model, cur) > 0.0:
+            if model.margin(cur) > 0.0:
                 return cur
             return None
     return None
@@ -380,26 +335,26 @@ def _midpoint_fixed_point(spec, start, n_max: int = 20_000, tol: float = 1e-13):
 
 def _contraction_probe(spec, p, delta: float = 1e-5) -> float:
     """Local pseudo-hyperbolic contraction factor at an interior fixed point."""
-    dist = getattr(geometry, "pdist_" + spec.model)
+    model = MODELS[spec.model]
     worst = 0.0
     for k in range(4):
-        if spec.model in maps.PLANAR:
+        if model.planar:
             q = p + delta * np.exp(1j * np.pi * k / 2.0)
         else:
             q = np.array(p, np.complex128)
             q[k % q.size] += delta * (1.0 if k < 2 else 1j)
-        if maps.domain_margin(spec.model, q) <= 0.0:
+        if model.margin(q) <= 0.0:
             continue
-        d0 = dist(p, q)
+        d0 = model.pdist(p, q)
         if d0 == 0.0:
             continue
-        worst = max(worst, dist(spec(p), spec(q)) / d0)
+        worst = max(worst, model.pdist(spec(p), spec(q)) / d0)
     return worst if worst > 0.0 else 1.0
 
 
-def _native_boundary_point(model: str, p: np.ndarray):
+def _native_boundary_point(model: Model, p: np.ndarray):
     """Express a disk/ball closure limit as the model's boundary object."""
-    if model in ("halfplane", "siegel"):
+    if model.unbounded:
         # all built-in half-plane/Siegel families are normalized to infinity
         if abs(p[0] - 1.0) < 1e-3:
             return BoundaryPoint.infinity()
@@ -412,6 +367,7 @@ def _native_boundary_point(model: str, p: np.ndarray):
 def classify(spec, starts=None, budgets: Budgets | None = None) -> ClassificationReport:
     """Elliptic / hyperbolic / parabolic verdict from orbit behavior."""
     budgets = budgets or Budgets()
+    model = MODELS[spec.model]
     defaults = _fit_starts(spec, default_starts(spec.model))
     starts = list(starts) if starts is not None else defaults
     if len(starts) < 2:
@@ -422,7 +378,7 @@ def classify(spec, starts=None, budgets: Budgets | None = None) -> Classificatio
     # one orbit per start serves both the Denjoy-Wolff point and the multiplier
     orbits = iterate_batch(spec, starts, budgets.n_max)
     try:
-        p, location = _common_limit(spec.model, orbits, budgets.tol_dw)
+        p, location = _common_limit(model, orbits, budgets.tol_dw)
     except EstimationError as exc:
         notes.append(str(exc))
         fp = _midpoint_fixed_point(spec, starts[0])
@@ -433,9 +389,7 @@ def classify(spec, starts=None, budgets: Budgets | None = None) -> Classificatio
         return ClassificationReport(fp, "interior", min(c, 1.0), "elliptic", tuple(notes))
 
     if location == "interior":
-        native = p[0] if spec.model in maps.PLANAR else p
-        if spec.model in ("halfplane", "siegel"):
-            native = geometry.ball_to_siegel_array(native)
+        native = model.from_ball(p[0] if model.planar else p)
         c = _contraction_probe(spec, native)
         return ClassificationReport(native, "interior", min(c, 1.0), "elliptic", tuple(notes))
 
@@ -454,5 +408,5 @@ def classify(spec, starts=None, budgets: Budgets | None = None) -> Classificatio
         kind = "inconclusive"
         notes.append(f"multiplier {c!r} outside both verdict bands")
     return ClassificationReport(
-        _native_boundary_point(spec.model, p), "boundary", c, kind, tuple(notes)
+        _native_boundary_point(model, p), "boundary", c, kind, tuple(notes)
     )

@@ -12,6 +12,12 @@ every module, so all agree on the normalization: the half-plane / Siegel
 boundary point at infinity corresponds to 1 in the disk and to (1, 0) on the
 sphere.
 
+``MODELS`` maps each model's name to its ``Model`` record, which the other
+modules read instead of branching on the name: whether the model is unbounded
+and planar, its starts, its point coercion and domain margin, its side of the
+Cayley pair, its metric and its step and gap series.  The planar gap series
+are the N = 1 case of the ball / Siegel ones; the planar step series are not.
+
 Quantities that degenerate near the boundary (1 - |z1|^2, 1 - ||Z||, the
 special ratio, the Koranyi quotient, ...) are never formed by subtracting
 nearly equal ball coordinates when the data is native to a half-plane model;
@@ -33,9 +39,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateInputError, DomainError
+from .errors import DegenerateInputError, DomainError, ModelMismatchError
 
 __all__ = [
+    "MODELS",
+    "Model",
     "DiskPoint",
     "HalfPlanePoint",
     "BallPoint",
@@ -67,9 +75,7 @@ class DiskPoint:
     z: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "z", complex(self.z))
-        if not abs(self.z) < 1.0:
-            raise DomainError(f"|z| = {abs(self.z)!r} is not < 1")
+        object.__setattr__(self, "z", _coords("disk", self.z))
 
 
 @dataclass(frozen=True)
@@ -79,9 +85,7 @@ class HalfPlanePoint:
     z: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "z", complex(self.z))
-        if not self.z.real > 0.0:
-            raise DomainError(f"Re z = {self.z.real!r} is not > 0")
+        object.__setattr__(self, "z", _coords("halfplane", self.z))
 
 
 def _freeze_vector(v) -> np.ndarray:
@@ -100,8 +104,7 @@ class BallPoint:
     def __post_init__(self):
         object.__setattr__(self, "z1", complex(self.z1))
         object.__setattr__(self, "w", _freeze_vector(self.w))
-        if not abs(self.z1) ** 2 + float(np.sum(np.abs(self.w) ** 2)) < 1.0:
-            raise DomainError("|z1|^2 + ||w||^2 is not < 1")
+        _coords("ball", self.coords)
 
     @property
     def dim(self) -> int:
@@ -122,8 +125,7 @@ class SiegelPoint:
     def __post_init__(self):
         object.__setattr__(self, "z", complex(self.z))
         object.__setattr__(self, "w", _freeze_vector(self.w))
-        if not self.z.real > float(np.sum(np.abs(self.w) ** 2)):
-            raise DomainError("Re z is not > ||w||^2")
+        _coords("siegel", self.coords)
 
     @property
     def dim(self) -> int:
@@ -170,36 +172,17 @@ class BoundaryPoint:
 # coercion helpers: every public op accepts the dataclass or a raw value
 
 
-def _disk_z(p) -> complex:
-    z = p.z if isinstance(p, DiskPoint) else complex(p)
-    if not abs(z) < 1.0:
-        raise DomainError(f"|z| = {abs(z)!r} is not < 1")
-    return z
-
-
-def _half_z(p) -> complex:
-    z = p.z if isinstance(p, HalfPlanePoint) else complex(p)
-    if not z.real > 0.0:
-        raise DomainError(f"Re z = {z.real!r} is not > 0")
-    return z
-
-
-def _ball_coords(p) -> np.ndarray:
-    if isinstance(p, BallPoint):
-        return p.coords
-    arr = np.asarray(p, np.complex128).reshape(-1)
-    if not float(np.sum(np.abs(arr) ** 2)) < 1.0:
-        raise DomainError("||Z|| is not < 1")
-    return arr
-
-
-def _siegel_coords(p) -> np.ndarray:
-    if isinstance(p, SiegelPoint):
-        return p.coords
-    arr = np.asarray(p, np.complex128).reshape(-1)
-    if not arr[0].real > float(np.sum(np.abs(arr[1:]) ** 2)):
-        raise DomainError("Re z is not > ||w||^2")
-    return arr
+def _coords(name: str, p):
+    """A point dataclass or a raw value as a point of the model; DomainError unless interior."""
+    if isinstance(p, (BallPoint, SiegelPoint)):
+        p = p.coords
+    elif isinstance(p, (DiskPoint, HalfPlanePoint)):
+        p = p.z
+    model = MODELS[name]
+    p = model.point(p)
+    if not model.margin(p) > 0.0:
+        raise DomainError(f"point outside the {name} domain")
+    return p
 
 
 def _x_vector(X, dim: int) -> np.ndarray:
@@ -221,23 +204,23 @@ def _x_vector(X, dim: int) -> np.ndarray:
 
 def cayley_halfplane_to_disk(p) -> DiskPoint:
     """C(z) = (z - 1)/(z + 1); sends 1 -> 0 and infinity -> 1."""
-    return DiskPoint(siegel_to_ball_array(_half_z(p)))
+    return DiskPoint(siegel_to_ball_array(_coords("halfplane", p)))
 
 
 def cayley_disk_to_halfplane(p) -> HalfPlanePoint:
     """Inverse transform (1 + u)/(1 - u)."""
-    return HalfPlanePoint(ball_to_siegel_array(_disk_z(p)))
+    return HalfPlanePoint(ball_to_siegel_array(_coords("disk", p)))
 
 
 def cayley_ball_to_siegel(p) -> SiegelPoint:
     """Psi(z1, w) = ((1 + z1)/(1 - z1), w/(1 - z1)); sends (1,0) -> infinity."""
-    P = ball_to_siegel_array(_ball_coords(p))
+    P = ball_to_siegel_array(_coords("ball", p))
     return SiegelPoint(P[0], P[1:])
 
 
 def cayley_siegel_to_ball(p) -> BallPoint:
     """Inverse transform (z - 1)/(z + 1), 2w/(z + 1)."""
-    Z = siegel_to_ball_array(_siegel_coords(p))
+    Z = siegel_to_ball_array(_coords("siegel", p))
     return BallPoint(Z[0], Z[1:])
 
 
@@ -273,19 +256,19 @@ def ball_to_siegel_array(Z):
 
 def pdist_disk(p, q) -> float:
     """d(z, w) = |z - w| / |1 - conj(z) w|."""
-    z, w = _disk_z(p), _disk_z(q)
+    z, w = _coords("disk", p), _coords("disk", q)
     return abs(z - w) / abs(1.0 - z.conjugate() * w)
 
 
 def pdist_halfplane(p, q) -> float:
     """Pullback of the disk metric: d(z, w) = |z - w| / |z + conj(w)|."""
-    z, w = _half_z(p), _half_z(q)
+    z, w = _coords("halfplane", p), _coords("halfplane", q)
     return abs(z - w) / abs(z + w.conjugate())
 
 
 def pdist_ball(p, q) -> float:
     """Ball metric, 1 - d^2 = (1 - ||Z||^2)(1 - ||W||^2)/|1 - <Z,W>|^2."""
-    Z, W = _ball_coords(p), _ball_coords(q)
+    Z, W = _coords("ball", p), _coords("ball", q)
     if Z.size != W.size:
         raise DomainError("dimension mismatch")
     one_minus_ip = 1.0 - np.vdot(W, Z)  # <Z, W> = sum Z conj(W)
@@ -300,7 +283,7 @@ def pdist_siegel(p, q) -> float:
     Here A = Re z - ||w||^2 is the boundary margin; the formula is the exact
     pullback of the ball metric under the fixed Cayley transform.
     """
-    P, Q = _siegel_coords(p), _siegel_coords(q)
+    P, Q = _coords("siegel", p), _coords("siegel", q)
     if P.size != Q.size:
         raise DomainError("dimension mismatch")
     a = P[0].real - float(np.sum(np.abs(P[1:]) ** 2))
@@ -316,7 +299,7 @@ def pdist_siegel(p, q) -> float:
 
 def koranyi_quotient(p, X) -> float:
     """|1 - <Z, X>| / (1 - ||Z||); Z lies in K(X, M) iff the value is < M."""
-    Z = _ball_coords(p)
+    Z = _coords("ball", p)
     x = _x_vector(X, Z.size)
     t = complex(np.vdot(x, Z))
     return abs(1.0 - t) / (1.0 - float(np.linalg.norm(Z)))
@@ -324,7 +307,7 @@ def koranyi_quotient(p, X) -> float:
 
 def special_ratio(p, X) -> float:
     """||Z - <Z,X>X||^2 / (1 - ||<Z,X>X||^2); 0 iff Z is a multiple of X."""
-    Z = _ball_coords(p)
+    Z = _coords("ball", p)
     x = _x_vector(X, Z.size)
     t = complex(np.vdot(x, Z))
     orth = Z - t * x
@@ -333,7 +316,7 @@ def special_ratio(p, X) -> float:
 
 def projection_nt_quotient(p, X) -> float:
     """|1 - <Z,X>| / (1 - |<Z,X>|); bounded iff the projection is non-tangential."""
-    Z = _ball_coords(p)
+    Z = _coords("ball", p)
     x = _x_vector(X, Z.size)
     t = complex(np.vdot(x, Z))
     if t == 1.0:
@@ -343,7 +326,7 @@ def projection_nt_quotient(p, X) -> float:
 
 def tangency_angle(p, X) -> float:
     """Arg(1 - <Z,X>) in (-pi, pi]; |angle| -> pi/2 signals tangential approach."""
-    Z = _ball_coords(p)
+    Z = _coords("ball", p)
     x = _x_vector(X, Z.size)
     t = complex(np.vdot(x, Z))
     if t == 1.0:
@@ -392,24 +375,12 @@ def step_series_ball(P: np.ndarray) -> np.ndarray:
     return np.sqrt(np.clip(d2, 0.0, 1.0))
 
 
-def boundary_gap_series_halfplane(zs: np.ndarray) -> np.ndarray:
-    """1 - |C(z)| computed without cancellation."""
-    zs = np.asarray(zs)
-    one_minus_sq = 4.0 * zs.real / np.abs(zs + 1.0) ** 2
-    nrm = np.sqrt(np.clip(1.0 - one_minus_sq, 0.0, None))
-    return one_minus_sq / (1.0 + nrm)
-
-
 def boundary_gap_series_siegel(P: np.ndarray) -> np.ndarray:
     """1 - ||ball image|| computed without cancellation."""
     z, _, wn2 = _siegel_parts(P)
     one_minus_sq = 4.0 * (z.real - wn2) / np.abs(z + 1.0) ** 2
     nrm = np.sqrt(np.clip(1.0 - one_minus_sq, 0.0, None))
     return one_minus_sq / (1.0 + nrm)
-
-
-def boundary_gap_series_disk(zs: np.ndarray) -> np.ndarray:
-    return 1.0 - np.abs(np.asarray(zs))
 
 
 def boundary_gap_series_ball(P: np.ndarray) -> np.ndarray:
@@ -514,3 +485,99 @@ def radial_quotient_series_ball(P, X) -> np.ndarray:
         idx = int(np.nonzero(denom == 0.0)[0][0])
         raise DegenerateInputError(f"<Z_n, X> = 1 at index {idx}")
     return (1.0 - t[1:]) / denom
+
+
+# ---------------------------------------------------------------------------
+# the per-model table: what every other module needs to know about a model
+
+
+@dataclass(frozen=True)
+class Model:
+    """One of the four models.
+
+    ``unbounded`` models are Re z > ||w||^2 (half-plane, Siegel), the others
+    ||Z|| < 1 (disk, ball); a point of a ``planar`` model (disk, half-plane)
+    is a complex number, of the others an (N,) complex128 array.
+    """
+
+    name: str
+    partner: str  # the model at the other end of the Cayley pair
+    unbounded: bool
+    planar: bool
+    starts: tuple  # the default starts; N = 2 for ball and Siegel
+    probe_starts: tuple  # the two starts conjecture_probe adds to them
+
+    def point(self, p):
+        """p as a point of the model: a complex, or a new (N,) complex128 array."""
+        if not self.planar:
+            return np.array(p, np.complex128).reshape(-1)
+        # a (1,) row of a planar orbit buffer is indexed first
+        return complex(p[0] if isinstance(p, np.ndarray) and p.shape == (1,) else p)
+
+    def margin(self, p) -> float:
+        """1 - ||Z||^2, or Re z - ||w||^2 for the unbounded models: positive iff p is interior."""
+        if self.planar:
+            z = self.point(p)
+            return z.real if self.unbounded else 1.0 - (z.real * z.real + z.imag * z.imag)
+        P = np.asarray(p, np.complex128).reshape(-1)
+        x, w = (P[0].real, P[1:]) if self.unbounded else (1.0, P)
+        return x - float(np.vdot(w, w).real)
+
+    def to_ball(self, p):
+        """A point, or an array of points, in the disk / ball picture."""
+        return self._cayley(siegel_to_ball_array, p) if self.unbounded else p
+
+    def from_ball(self, p):
+        """The inverse of to_ball."""
+        return self._cayley(ball_to_siegel_array, p) if self.unbounded else p
+
+    def _cayley(self, pair, p):
+        if self.planar and not isinstance(p, numbers.Number):
+            # an array of planar points is a batch of N = 1 points for the pair
+            return pair(np.asarray(p)[..., None])[..., 0]
+        return pair(p)
+
+    def pdist(self, p, q) -> float:
+        """The pseudo-hyperbolic distance of two points of the model."""
+        if self.planar:
+            return (pdist_halfplane if self.unbounded else pdist_disk)(p, q)
+        return (pdist_siegel if self.unbounded else pdist_ball)(p, q)
+
+    def step_series(self, pts) -> np.ndarray:
+        """d(z_n, z_{n+1}) along an orbit of the model."""
+        if self.planar:  # not yet computed as the N = 1 case of the ball/Siegel series
+            return (step_series_halfplane if self.unbounded else step_series_disk)(pts)
+        return (step_series_siegel if self.unbounded else step_series_ball)(pts)
+
+    def gap_series(self, pts) -> np.ndarray:
+        """1 - ||Z_n|| along an orbit of the model; planar orbits are the N = 1 case."""
+        rows = np.reshape(pts, (len(pts), -1))
+        return (boundary_gap_series_siegel if self.unbounded else boundary_gap_series_ball)(rows)
+
+
+class _Table(dict):
+    """A dict whose lookup of an unknown model name raises ModelMismatchError."""
+
+    def __missing__(self, name):
+        raise ModelMismatchError(f"unknown model {name!r}")
+
+
+_HALFPLANE_PROBE = (3.0 - 1.0j, 1.5 + 2.0j)
+_SIEGEL_PROBE = ((3.0, 0.5), (2.0 + 2.0j, -0.4j))
+
+MODELS = _Table((m.name, m) for m in (
+    Model("disk", partner="halfplane", unbounded=False, planar=True,
+          starts=(0j, 0.3 + 0.2j, -0.4 + 0.1j),
+          probe_starts=tuple(siegel_to_ball_array(z) for z in _HALFPLANE_PROBE)),
+    Model("halfplane", partner="disk", unbounded=True, planar=True,
+          starts=(1.0 + 0.0j, 2.0 + 1.0j, 0.5 - 0.5j),
+          probe_starts=_HALFPLANE_PROBE),
+    Model("ball", partner="siegel", unbounded=False, planar=False,
+          starts=((0.0, 0.0), (0.2 + 0.1j, 0.3), (-0.3, 0.1 - 0.2j)),
+          probe_starts=tuple(tuple(siegel_to_ball_array(p).tolist()) for p in _SIEGEL_PROBE)),
+    # small w-components: translation orbits shed their w only like 1/n,
+    # so widely split starts would stall the Denjoy-Wolff agreement check
+    Model("siegel", partner="ball", unbounded=True, planar=False,
+          starts=((1.0, 0.0), (2.0 + 1.0j, 0.1), (1.5 - 0.5j, -0.1j)),
+          probe_starts=_SIEGEL_PROBE),
+))

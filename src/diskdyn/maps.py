@@ -25,19 +25,14 @@ for bit.  Every other map is stepped one call at a time.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
 from typing import ClassVar
 
 import numpy as np
 
-from . import geometry
 from .errors import DomainError, EvaluationError, ModelMismatchError
-
-MODELS = ("disk", "halfplane", "ball", "siegel")
-_PARTNER = {"disk": "halfplane", "halfplane": "disk", "ball": "siegel", "siegel": "ball"}
-PLANAR = ("disk", "halfplane")
+from .geometry import MODELS
 
 
 def _c(x) -> complex:
@@ -182,8 +177,7 @@ class Identity:
     model_tag: str = "halfplane"
 
     def __post_init__(self):
-        if self.model_tag not in MODELS:
-            raise ModelMismatchError(f"unknown model {self.model_tag!r}")
+        MODELS[self.model_tag]  # raises ModelMismatchError for an unknown name
 
     @property
     def model(self) -> str:
@@ -244,17 +238,13 @@ class Conjugated:
 
     @property
     def model(self) -> str:
-        return _PARTNER[self.inner.model]
+        return MODELS[self.inner.model].partner
 
     def __call__(self, pt):
-        if self.inner.model in ("disk", "ball"):  # the outer point is half-plane / Siegel
-            into, back = geometry.siegel_to_ball_array, geometry.ball_to_siegel_array
-        else:
-            into, back = geometry.ball_to_siegel_array, geometry.siegel_to_ball_array
-        if self.inner.model in PLANAR and not isinstance(pt, numbers.Number):
-            # an array of planar points is a batch of N = 1 points for the pair
-            return back(self.inner(into(np.asarray(pt)[..., None])[..., 0])[..., None])[..., 0]
-        return back(self.inner(into(pt)))
+        # one of the two models is bounded, and its half of the pair is the identity
+        inner = MODELS[self.inner.model]
+        outer = MODELS[inner.partner]
+        return outer.from_ball(inner.to_ball(self.inner(inner.from_ball(outer.to_ball(pt)))))
 
     def params_ok(self) -> bool:
         return self.inner.params_ok()
@@ -344,33 +334,27 @@ FAMILIES = {
 
 def domain_margin(model: str, pt) -> float:
     """The model-defining functional: positive iff pt is interior."""
-    if model == "disk":
-        return 1.0 - abs(complex(pt)) ** 2
-    if model == "halfplane":
-        return complex(pt).real
-    arr = np.asarray(pt, np.complex128).reshape(-1)
-    if model == "ball":
-        return 1.0 - float(np.sum(np.abs(arr) ** 2))
-    if model == "siegel":
-        return arr[0].real - float(np.sum(np.abs(arr[1:]) ** 2))
-    raise ModelMismatchError(f"unknown model {model!r}")
+    return MODELS[model].margin(pt)
 
 
 def evaluate(spec, pt):
     """Apply spec to a point of its model; checks that the image stays inside."""
-    if domain_margin(spec.model, pt) <= 0.0:
+    model = MODELS[spec.model]
+    pt = model.point(pt)
+    if not model.margin(pt) > 0.0:  # NaN included
         raise DomainError(f"point outside the {spec.model} domain")
-    out = spec(np.asarray(pt, np.complex128) if spec.model not in PLANAR else complex(pt))
-    m = domain_margin(spec.model, out)
+    out = spec(pt)
+    m = model.margin(out)
     if not m > 0.0:
         raise EvaluationError(f"image left the {spec.model} domain", margin=m)
     return out
 
 
 def compose(f, g) -> Composition:
-    """f o g; evaluate(compose(f, g), p) == evaluate(f, evaluate(g, p))."""
-    if f.model != g.model:
-        raise ModelMismatchError(f"cannot compose {f.model} with {g.model}")
+    """f o g; evaluate(compose(f, g), p) == evaluate(f, evaluate(g, p)).
+
+    Maps of two models raise ModelMismatchError, from Composition.
+    """
     parts = []
     for h in (f, g):
         parts.extend(h.parts if isinstance(h, Composition) else [h])
@@ -391,26 +375,25 @@ class ValidityReport:
 
 def sample_domain(model: str, count: int, rng: np.random.Generator, dim: int = 2):
     """Random interior points; half-plane coordinates span several decades."""
-    if model == "disk":
+    m = MODELS[model]
+    if m.planar and not m.unbounded:  # disk
         r = np.sqrt(rng.uniform(0.0, 0.96, count))
         phi = rng.uniform(-np.pi, np.pi, count)
         return r * np.exp(1j * phi)
-    if model == "halfplane":
+    if m.planar:  # half-plane
         x = np.exp(rng.uniform(-2.0, 6.0, count))
         y = rng.normal(0.0, 5.0, count) * x
         return x + 1j * y
-    if model == "ball":
+    if not m.unbounded:  # ball
         v = rng.normal(size=(count, 2 * dim)).view(np.complex128)
         nrm = np.linalg.norm(v, axis=1, keepdims=True)
         rad = rng.uniform(0.0, 0.98, (count, 1)) ** (1.0 / (2 * dim))
         return v / nrm * rad
-    if model == "siegel":
-        w = rng.normal(size=(count, 2 * (dim - 1))).view(np.complex128)
-        wn2 = np.sum(np.abs(w) ** 2, axis=1).real
-        x = wn2 + np.exp(rng.uniform(-2.0, 4.0, count))
-        y = rng.normal(0.0, 2.0, count) * (1.0 + np.sqrt(wn2))
-        return np.concatenate(((x + 1j * y)[:, None], w), axis=1)
-    raise ModelMismatchError(f"unknown model {model!r}")
+    w = rng.normal(size=(count, 2 * (dim - 1))).view(np.complex128)  # Siegel
+    wn2 = np.sum(np.abs(w) ** 2, axis=1).real
+    x = wn2 + np.exp(rng.uniform(-2.0, 4.0, count))
+    y = rng.normal(0.0, 2.0, count) * (1.0 + np.sqrt(wn2))
+    return np.concatenate(((x + 1j * y)[:, None], w), axis=1)
 
 
 def fixed_dim(spec):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import geometry
+from .geometry import MODELS
 
 __all__ = ["orbit_disk_coords", "render_orbit_svg"]
 
@@ -15,10 +15,8 @@ _CENTER = 250.0
 
 def orbit_disk_coords(orbit) -> np.ndarray:
     """First-coordinate disk cross-section of an orbit in any model."""
-    pts = orbit.points.reshape(orbit.length, -1)  # planar orbits are the N = 1 case
-    if orbit.model in ("halfplane", "siegel"):
-        pts = geometry.siegel_to_ball_array(pts)
-    return pts[:, 0]
+    pts = MODELS[orbit.model].to_ball(orbit.points)
+    return pts.reshape(orbit.length, -1)[:, 0]  # planar orbits are the N = 1 case
 
 
 def _fmt(x: float) -> str:

@@ -201,3 +201,27 @@ def test_classify_command_three_dimensional_map(tmp_path):
     header, rows = read_csv(tmp_path / "orbit.csv")
     assert header == ["n", "re0", "im0", "re1", "im1", "re2", "im2"]
     assert len(rows) == 11
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify"],  # no --config
+    ["nope"],  # no such command
+    ["orbit", "--config", "config.json", "--n-max", "many"],
+    ["harness", "--no-such-option"],
+])
+def test_argparse_usage_errors_exit_one(argv, capsys):
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    assert cli.main(["--help"]) == cli.EXIT_OK
+    assert cli.main(["orbit", "--help"]) == cli.EXIT_OK
+    assert "usage:" in capsys.readouterr().out
+
+
+def test_format_option_is_gone(tmp_path):
+    # it was parsed and never read: --format structured wrote CSV
+    cfg = dict(PARABOLIC, n_max=10)
+    assert run(tmp_path, "orbit", cfg, ["--format", "structured"]) == cli.EXIT_USAGE
+    assert not (tmp_path / "orbit.csv").exists()

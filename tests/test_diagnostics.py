@@ -173,3 +173,16 @@ def test_probe_takes_the_dimension_from_the_map():
     assert all(np.shape(s) == (3,) for s in rep.starts)
     assert rep.flag == "CONSISTENT"
     assert set(rep.verdicts) == {"nonzero_step"}
+
+
+@pytest.mark.parametrize("spec, verdict", [
+    (maps.Conjugated(maps.HalfplaneAffine(1.0, 1.0)), "zero_step"),  # disk
+    (maps.Conjugated(maps.HalfplaneAffine(1.0, 1j)), "nonzero_step"),  # disk
+    (maps.Conjugated(maps.SiegelTranslation(1.0)), "zero_step"),  # ball
+])
+def test_probe_default_starts_in_the_disk_and_the_ball(spec, verdict):
+    # the two extra starts are the Cayley images of the half-plane / Siegel ones
+    rep = diagnostics.conjecture_probe(spec, budgets=Budgets(n_max=5_000))
+    assert len(rep.starts) == 5
+    assert rep.flag == "CONSISTENT"
+    assert set(rep.verdicts) == {verdict}

@@ -3,7 +3,9 @@ import pytest
 
 from diskdyn import diagnostics, dynamics, maps
 from diskdyn.dynamics import Budgets, StoppingPolicy
-from diskdyn.errors import DomainError, EstimationError, EvaluationError, PreconditionError
+from diskdyn.errors import (
+    DomainError, EstimationError, EvaluationError, ModelMismatchError, PreconditionError,
+)
 
 
 def test_iterate_stops_at_max_iter():
@@ -703,3 +705,31 @@ def test_planar_fixed_point_threshold_in_scalar_arithmetic():
                 policy = StoppingPolicy(fixed_point_tol=tol)
                 _assert_same(dynamics.iterate(spec, 0j, 3, policy),
                              reference_planar_orbit(spec, 0j, 3, policy))
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("spec, start", [
+    (maps.DiskMoebius(0.5), _NAN),
+    (maps.HalfplaneAffine(1.0, 1.0), _NAN),
+    (maps.Conjugated(maps.SiegelTranslation(1.0)), np.array([_NAN, 0.0])),
+    (maps.SiegelTranslation(1.0), np.array([1.0, _NAN])),
+])
+def test_nan_start_is_outside_the_domain(spec, start):
+    with pytest.raises(DomainError):
+        dynamics.iterate(spec, start, 10)
+    with pytest.raises(DomainError):
+        maps.evaluate(spec, start)
+    with pytest.raises(DomainError):
+        dynamics.classify(spec, [start, start])
+
+
+def test_unknown_model_name_is_a_model_mismatch():
+    rng = np.random.default_rng(0)
+    for lookup in (lambda: dynamics.default_starts("torus"),
+                   lambda: maps.domain_margin("torus", 0.5),
+                   lambda: maps.sample_domain("torus", 3, rng),
+                   lambda: maps.Identity("torus")):
+        with pytest.raises(ModelMismatchError, match="unknown model 'torus'"):
+            lookup()

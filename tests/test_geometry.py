@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diskdyn import geometry as g
-from diskdyn.errors import DegenerateInputError, DomainError
+from diskdyn.errors import DegenerateInputError, DomainError, ModelMismatchError
 
 
 def disk_points():
@@ -232,7 +232,7 @@ def test_boundary_gap_series_matches_direct():
     rng = np.random.default_rng(10)
     zs = np.exp(rng.uniform(-1, 6, 50)) + 1j * rng.normal(0, 10, 50)
     direct = 1.0 - np.abs((zs - 1.0) / (zs + 1.0))
-    assert np.allclose(g.boundary_gap_series_halfplane(zs), direct, atol=1e-14)
+    assert np.allclose(g.boundary_gap_series_siegel(zs[:, None]), direct, atol=1e-14)
 
     P = rand_siegel(rng, count=50)
     ball = g.siegel_to_ball_array(P)
@@ -243,7 +243,7 @@ def test_boundary_gap_series_matches_direct():
 def test_boundary_gap_far_out_no_cancellation():
     # at Re z = 1e12 the direct subtraction loses every digit; the identity keeps them
     zs = np.array([1e12 + 3e11j, 1e12])
-    gap = g.boundary_gap_series_halfplane(zs)
+    gap = g.boundary_gap_series_siegel(zs[:, None])
     assert np.all(gap > 0.0)
     assert gap[1] == pytest.approx(1e-12, rel=1e-6)
 
@@ -355,3 +355,56 @@ def test_quotients_reject_the_zero_boundary_vector(fn):
             fn(Z, [0.0, 0.0])
     # a raw vector is normalized as BoundaryPoint normalizes it
     assert fn(Z, [2.0, 0.0]) == fn(Z, g.BoundaryPoint([1.0, 0.0]))
+
+
+# --- the per-model table -----------------------------------------------------
+
+
+def _gap_halfplane(zs):
+    """The half-plane gap series before it became the N = 1 Siegel one."""
+    one_minus_sq = 4.0 * zs.real / np.abs(zs + 1.0) ** 2
+    nrm = np.sqrt(np.clip(1.0 - one_minus_sq, 0.0, None))
+    return one_minus_sq / (1.0 + nrm)
+
+
+def _gap_disk(zs):
+    """The disk gap series before it became the N = 1 ball one."""
+    return 1.0 - np.abs(zs)
+
+
+def test_planar_gap_series_are_the_n1_case_bit_for_bit():
+    rng = np.random.default_rng(51)
+    n = 100_000
+    x = 10.0 ** rng.uniform(-6.0, 12.0, n)  # Re z up to 1e12
+    half = np.concatenate((x + 1j * rng.normal(0.0, 3.0, n) * x,
+                           1e12 + 1j * rng.normal(0.0, 1e12, 100), [1e12, 1e12 + 3e11j]))
+    phi = rng.uniform(-np.pi, np.pi, 2 * n)
+    r = np.concatenate((np.sqrt(rng.uniform(0.0, 1.0, n)),
+                        1.0 - 10.0 ** -rng.uniform(1.0, 16.0, n)))  # |z| near 1
+    disk = r * np.exp(1j * phi)
+    for got, want in [
+        (g.boundary_gap_series_siegel(half[:, None]), _gap_halfplane(half)),
+        (g.MODELS["halfplane"].gap_series(half), _gap_halfplane(half)),
+        (g.boundary_gap_series_ball(disk[:, None]), _gap_disk(disk)),
+        (g.MODELS["disk"].gap_series(disk), _gap_disk(disk)),
+    ]:
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_model_table():
+    for name, m in g.MODELS.items():
+        partner = g.MODELS[m.partner]
+        assert m.name == name and partner.partner == name
+        assert m.planar == partner.planar and m.unbounded != partner.unbounded
+        for s in m.starts + m.probe_starts:
+            p = m.point(s)
+            assert m.margin(p) > 0.0
+            assert np.allclose(m.from_ball(m.to_ball(p)), p, rtol=1e-14)
+    # the disk and ball probe starts are the Cayley images of the others
+    for bounded in g.MODELS["disk"], g.MODELS["ball"]:
+        unbounded = g.MODELS[bounded.partner]
+        for p, q in zip(bounded.probe_starts, unbounded.probe_starts):
+            assert np.array_equal(bounded.point(p), unbounded.to_ball(unbounded.point(q)))
+    with pytest.raises(ModelMismatchError):
+        g.MODELS["torus"]
