@@ -102,26 +102,35 @@ def _budgets(cfg: dict, args) -> dynamics.Budgets:
     )
 
 
-def _orbit_rows(orbit) -> tuple:
-    """Header and rows: n, coordinate re/im pairs."""
+def _orbit_rows(orbit, *series) -> tuple:
+    """Header and lines: n, the coordinate re/im pairs, then one column per series.
+
+    Each line comes from one format string mapped over the columns; a series
+    shorter than the orbit leaves its last cells empty.
+    """
     pts = orbit.points.reshape(orbit.length, -1)  # planar orbits are the N = 1 case
     dim = pts.shape[1]
     if dim == 1:
         header = ["n", "re", "im"]
     else:
         header = ["n"] + [c for j in range(dim) for c in (f"re{j}", f"im{j}")]
-    rows = []
-    for n in range(pts.shape[0]):
-        row = [str(n)]
-        for j in range(dim):
-            row += [_fmt(pts[n, j].real), _fmt(pts[n, j].imag)]
-        rows.append(row)
-    return header, rows
+    cols = [range(orbit.length)]
+    for j in range(dim):
+        cols += [pts[:, j].real.tolist(), pts[:, j].imag.tolist()]
+    series = [np.asarray(s, np.float64).tolist() for s in series]
+    lines, start = [], 0
+    # between two series ends, the same series have cells on every line
+    for end in sorted({orbit.length} | {min(len(s), orbit.length) for s in series}):
+        have = [len(s) >= end for s in series]
+        fmt = "{}" + ",{:.17g}" * (2 * dim) + "".join(",{:.17g}" if h else "," for h in have)
+        present = [s for s, h in zip(series, have) if h]
+        lines += map(fmt.format, *(c[start:end] for c in cols + present))
+        start = end
+    return header, lines
 
 
-def _write_csv(path: str, header, rows) -> None:
-    lines = [",".join(header)] + [",".join(r) for r in rows]
-    write_atomic(path, "\n".join(lines) + "\n")
+def _write_csv(path: str, header, lines) -> None:
+    write_atomic(path, "\n".join([",".join(header), *lines]) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +166,8 @@ def cmd_orbit(cfg, args) -> int:
     budgets = _budgets(cfg, args)
     start = _starts(cfg, spec)[0]
     orbit = dynamics.iterate(spec, start, budgets.n_max)
-    header, rows = _orbit_rows(orbit)
-    _write_csv(os.path.join(args.out, "orbit.csv"), header, rows)
+    header, lines = _orbit_rows(orbit)
+    _write_csv(os.path.join(args.out, "orbit.csv"), header, lines)
     print(f"orbit: {orbit.length} points, stop_reason={orbit.stop_reason}")
     return EXIT_NUMERIC if orbit.stop_reason == "numeric_failure" else EXIT_OK
 
@@ -169,11 +178,8 @@ def cmd_steps(cfg, args) -> int:
     start = _starts(cfg, spec)[0]
     orbit = dynamics.iterate(spec, start, budgets.n_max)
     st = dynamics.step_series(orbit, tol_step=budgets.tol_step)
-    header, rows = _orbit_rows(orbit)
-    header.append("s_n")
-    for n, row in enumerate(rows):
-        row.append(_fmt(st.s[n]) if n < st.s.size else "")
-    _write_csv(os.path.join(args.out, "steps.csv"), header, rows)
+    header, lines = _orbit_rows(orbit, st.s)
+    _write_csv(os.path.join(args.out, "steps.csv"), header + ["s_n"], lines)
     print(f"verdict: {st.verdict}, d_inf≈{st.d_inf_estimate:.10g}")
     return EXIT_INCONCLUSIVE if st.verdict == "inconclusive" else EXIT_OK
 
@@ -186,12 +192,10 @@ def cmd_approach(cfg, args) -> int:
     ap = diagnostics.approach_report(orbit)
     rq = diagnostics.radial_quotient_series(orbit)
     special, koranyi, nt = diagnostics._orbit_series(orbit, ap.X)[:3]
-    header, rows = _orbit_rows(orbit)
+    # np.hypot rounds as the scalar abs does; the array abs can differ in the last bit
+    header, lines = _orbit_rows(orbit, koranyi, special, nt, np.hypot(rq.real, rq.imag))
     header += ["koranyi_q", "special_ratio", "nt_q", "radial_q"]
-    for n, row in enumerate(rows):
-        row += [_fmt(koranyi[n]), _fmt(special[n]), _fmt(nt[n])]
-        row.append(_fmt(abs(rq[n])) if n < rq.size else "")
-    _write_csv(os.path.join(args.out, "approach.csv"), header, rows)
+    _write_csv(os.path.join(args.out, "approach.csv"), header, lines)
     print(
         f"special={ap.is_special} restricted={ap.is_restricted} "
         f"in_koranyi={ap.in_koranyi} nontangential={ap.is_nontangential} "
@@ -213,11 +217,9 @@ def cmd_conjugate(cfg, args) -> int:
     res = fn(spec, basepoint=basepoint, checkpoints=checkpoints)
     for n in res.checkpoints:
         header = ["re_g", "im_g", "re_psi", "im_psi"]
-        rows = [
-            [_fmt(g.real), _fmt(g.imag), _fmt(p.real), _fmt(p.imag)]
-            for g, p in zip(res.grid, res.psi_n[n])
-        ]
-        _write_csv(os.path.join(args.out, f"conjugation_n{n}.csv"), header, rows)
+        cols = [v.tolist() for c in (res.grid, res.psi_n[n]) for v in (c.real, c.imag)]
+        lines = map(",".join(["{:.17g}"] * 4).format, *cols)
+        _write_csv(os.path.join(args.out, f"conjugation_n{n}.csv"), header, lines)
     report = conjugation.conjugation_report(res)
     write_atomic(os.path.join(args.out, "conjugation_summary.txt"), report + "\n")
     print(report)
@@ -254,7 +256,7 @@ def cmd_harness(cfg, args) -> int:
             str(r.skipped),
             r.notes.replace(",", ";"),
         ] + [_fmt(getattr(ap, f)) if ap is not None else "" for f in stats])
-    _write_csv(os.path.join(args.out, "harness.csv"), header, rows)
+    _write_csv(os.path.join(args.out, "harness.csv"), header, map(",".join, rows))
     summary = (
         f"rows: {len(rep.rows)} passed: {rep.n_passed} failed: {rep.n_failed} "
         f"skipped: {rep.n_skipped} implications_ok: {rep.implications_ok()}"
@@ -274,7 +276,7 @@ def cmd_probe(cfg, args) -> int:
         [repr(s).replace(",", ";"), v, _fmt(d)]
         for s, v, d in zip(rep.starts, rep.verdicts, rep.d_inf_estimates)
     ]
-    _write_csv(os.path.join(args.out, "probe.csv"), header, rows)
+    _write_csv(os.path.join(args.out, "probe.csv"), header, map(",".join, rows))
     print(f"{rep.flag}: {rep.verdicts}")
     return EXIT_OK if rep.flag == "CONSISTENT" else EXIT_INCONCLUSIVE
 

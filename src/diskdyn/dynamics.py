@@ -123,16 +123,20 @@ def iterate(spec, start, n_max: int, policy: StoppingPolicy | None = None) -> Or
     its points are a view of the buffer.
 
     A map with a block method (Siegel and Heisenberg translations and their
-    compositions, see :mod:`diskdyn.maps`) fills the whole block in one call,
-    as running sums that equal its step-by-step points bit for bit; every
-    other map is called once per step.
+    compositions, and ``HalfplaneAffine`` with lam = 1, see
+    :mod:`diskdyn.maps`) fills the whole block in one call, as running sums
+    that equal its step-by-step points bit for bit; for the half-plane
+    translation that holds because ``1.0 * z`` changes only the sign of an
+    Im z of -0.0, which the block's first step, a call, takes care of.  Every
+    other map is called once per step.  A start with a non-finite coordinate
+    raises DomainError.
     """
     policy = policy or StoppingPolicy()
     model = MODELS[spec.model]
     fill = getattr(spec, "_block", None)
     # a planar point stays a number, so the map keeps its own arithmetic
     cur = model.point(start)
-    if not model.margin(cur) > 0.0:  # NaN included
+    if not model.contains(cur):
         raise DomainError(f"start lies outside the {spec.model} domain")
     buf = np.empty((n_max + 1,) + np.shape(cur), np.complex128)
     rows = buf.reshape(n_max + 1, -1)  # planar points are the N = 1 case

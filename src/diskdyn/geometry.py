@@ -180,7 +180,7 @@ def _coords(name: str, p):
         p = p.z
     model = MODELS[name]
     p = model.point(p)
-    if not model.margin(p) > 0.0:
+    if not model.contains(p):
         raise DomainError(f"point outside the {name} domain")
     return p
 
@@ -522,6 +522,14 @@ class Model:
         P = np.asarray(p, np.complex128).reshape(-1)
         x, w = (P[0].real, P[1:]) if self.unbounded else (1.0, P)
         return x - float(np.vdot(w, w).real)
+
+    def contains(self, p) -> bool:
+        """Whether the point p is interior: every coordinate finite and the margin positive.
+
+        The unbounded margin does not read Im z, so a NaN or infinite Im z is
+        caught by the finiteness test alone.
+        """
+        return bool(self.margin(p) > 0.0 and np.isfinite(p).all())
 
     def to_ball(self, p):
         """A point, or an array of points, in the disk / ball picture."""

@@ -13,14 +13,21 @@ The built-in families cover the dynamical taxonomy with closed-form oracles:
 * ``SiegelTranslation``      (z, w) -> (z + b, w)
 * ``HeisenbergTranslation``  parabolic ball automorphism with non-special orbits
 
-``SiegelTranslation``, ``HeisenbergTranslation`` and any ``Composition`` of
-them also step a whole block of an orbit at once (their private ``_block``,
-which ``dynamics.iterate`` uses).  Their w moves by a fixed ``a`` and their z
-by terms known from w, so every coordinate of the block is a running sum of
-per-step terms.  ``np.add.accumulate`` adds those terms one after the other,
-in the order ``__call__`` adds them, and a step that leaves w alone copies
-it; the block therefore holds the points that step-by-step calls give, bit
-for bit.  Every other map is stepped one call at a time.
+``SiegelTranslation``, ``HeisenbergTranslation``, any ``Composition`` of
+them, and ``HalfplaneAffine`` with lam = 1 also step a whole block of an orbit
+at once (their private ``_block``, which ``dynamics.iterate`` uses).  The
+translations move w by a fixed ``a`` and z by terms known from w, so every
+coordinate of the block is a running sum of per-step terms.
+``np.add.accumulate`` adds those terms one after the other, in the order
+``__call__`` adds them, and a step that leaves w alone copies it; the block
+therefore holds the points that step-by-step calls give, bit for bit.  For
+``HalfplaneAffine(1, b)`` the step is ``1.0 * z + b``, and the product is z
+itself for every finite z with Re z > 0, except that CPython before 3.14
+multiplies as complex numbers and turns an Im z of -0.0 into +0.0.  The block makes its
+first step by a call; under that rule no later point has an Im z of -0.0,
+since a sum is -0.0 only when both terms are, so the running sum of b from
+there matches the calls bit for bit.  Every other map is stepped one call at
+a time.
 """
 
 from __future__ import annotations
@@ -75,6 +82,24 @@ class HalfplaneAffine:
 
     def __call__(self, z):
         return self.lam * z + self.b
+
+    @property
+    def _block(self):
+        """The running-sum block method of a translation (lam = 1, finite b); None otherwise."""
+        return self._shift_block if self.lam == 1.0 and np.isfinite(self.b) else None
+
+    def _shift_block(self, cur, out):
+        """Fill out (m,) with the m points after cur of the orbit of z + b."""
+        z = self(complex(cur))
+        out[0] = z
+        out[1:] = self.b
+        with np.errstate(over="ignore"):  # an overflow gives inf, silently as the calls do
+            np.add.accumulate(out, out=out)
+        if not np.isfinite(out[-1]):
+            # past an overflow 1.0 * z changes z (1 * inf - 0 * y is NaN): step by calls
+            for j in range(1, out.size):
+                z = self(z)
+                out[j] = z
 
     def params_ok(self) -> bool:
         return self.lam > 0.0 and self.b.real >= 0.0
@@ -341,7 +366,7 @@ def evaluate(spec, pt):
     """Apply spec to a point of its model; checks that the image stays inside."""
     model = MODELS[spec.model]
     pt = model.point(pt)
-    if not model.margin(pt) > 0.0:  # NaN included
+    if not model.contains(pt):
         raise DomainError(f"point outside the {spec.model} domain")
     out = spec(pt)
     m = model.margin(out)

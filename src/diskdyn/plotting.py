@@ -19,8 +19,7 @@ def orbit_disk_coords(orbit) -> np.ndarray:
     return pts.reshape(orbit.length, -1)[:, 0]  # planar orbits are the N = 1 case
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".6f")
+_fmt = "{:.6f}".format  # a bound method: the coordinate columns map it over their floats
 
 
 def _xy(z: complex) -> tuple:
@@ -47,23 +46,27 @@ def render_orbit_svg(
     ]
     if title:
         out.append(f'<text x="10" y="20" font-size="14">{title}</text>')
-    pts = [complex(z) for z in np.atleast_1d(disk_pts)]
-    if len(pts) >= 2:
-        coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in (_xy(z) for z in pts))
+    pts = np.atleast_1d(np.asarray(disk_pts, np.complex128))
+    # the operations of _xy on every point at once, each coordinate formatted once
+    xs = list(map(_fmt, (_CENTER + _SCALE * pts.real).tolist()))
+    ys = list(map(_fmt, (_CENTER - _SCALE * pts.imag).tolist()))
+    n = len(xs)
+    if n >= 2:
+        coords = " ".join(map("{},{}".format, xs, ys))
         out.append(
             f'<polyline points="{coords}" fill="none" stroke="steelblue" stroke-width="0.8"/>'
         )
-    for i, z in enumerate(pts):
-        x, y = _xy(z)
-        last = i == len(pts) - 1
-        tail = tail_highlight and i >= len(pts) - tail_highlight
-        color = "crimson" if last else ("darkorange" if tail else "steelblue")
-        r = marker_size * (1.6 if last else 1.0)
-        out.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(r)}" fill="{color}"/>')
-    if pts:
-        x, y = _xy(pts[0])
+    if n:
+        # steelblue markers, then the highlighted tail, then the last point
+        tail = min(n - 1, max(0, n - tail_highlight) if tail_highlight else n)
+        runs = ((0, tail, marker_size * 1.0, "steelblue"),
+                (tail, n - 1, marker_size * 1.0, "darkorange"),
+                (n - 1, n, marker_size * 1.6, "crimson"))
+        for a, b, r, color in runs:
+            template = f'<circle cx="{{}}" cy="{{}}" r="{_fmt(r)}" fill="{color}"/>'
+            out += map(template.format, xs[a:b], ys[a:b])
         out.append(
-            f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(marker_size * 1.6)}" '
+            f'<circle cx="{xs[0]}" cy="{ys[0]}" r="{_fmt(marker_size * 1.6)}" '
             'fill="none" stroke="seagreen" stroke-width="1.2"/>'
         )
     dx, dy = _xy(complex(dw))

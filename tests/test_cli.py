@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from diskdyn import cli, dynamics
+from diskdyn import cli, dynamics, maps
 
 
 def run(tmp_path, command, cfg=None, extra=()):
@@ -225,3 +225,110 @@ def test_format_option_is_gone(tmp_path):
     cfg = dict(PARABOLIC, n_max=10)
     assert run(tmp_path, "orbit", cfg, ["--format", "structured"]) == cli.EXIT_USAGE
     assert not (tmp_path / "orbit.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# the column-wise CSV writer against the cell-by-cell loop it replaced
+
+
+def _fmt_reference(x) -> str:
+    return format(float(x), ".17g")
+
+
+def reference_orbit_csv(orbit, named_series) -> bytes:
+    """The orbit CSV, one cell at a time, as before the column-wise writer.
+
+    named_series holds (name, values, cell) triples; cell(values, n) is the
+    text of row n, asked only for n < len(values).
+    """
+    pts = orbit.points.reshape(orbit.length, -1)
+    dim = pts.shape[1]
+    if dim == 1:
+        header = ["n", "re", "im"]
+    else:
+        header = ["n"] + [c for j in range(dim) for c in (f"re{j}", f"im{j}")]
+    rows = []
+    for n in range(pts.shape[0]):
+        row = [str(n)]
+        for j in range(dim):
+            row += [_fmt_reference(pts[n, j].real), _fmt_reference(pts[n, j].imag)]
+        rows.append(row)
+    for name, values, cell in named_series:
+        header.append(name)
+        for n, row in enumerate(rows):
+            row.append(cell(values, n) if n < len(values) else "")
+    lines = [",".join(header)] + [",".join(r) for r in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _real_cell(values, n):
+    return _fmt_reference(values[n])
+
+
+def _abs_cell(values, n):
+    return _fmt_reference(abs(values[n]))  # the scalar abs of a complex quotient
+
+
+_SPECIAL = np.array([-0.0, 0.0, 1e12 + 0.375, -1e12 / 3.0, 5e-324, -2.5e-310, 1.0 / 3.0,
+                     np.nan, np.inf, -np.inf, 1e-300, 123456789.123456789])
+
+
+def _sprinkled(rng, shape):
+    """Random values of many scales with the special values written in."""
+    v = rng.normal(size=shape) * np.exp(rng.uniform(-40.0, 30.0, shape))
+    flat = v.reshape(-1)
+    idx = rng.choice(flat.size, min(flat.size, _SPECIAL.size), replace=False)
+    flat[idx] = _SPECIAL[: idx.size]
+    return v
+
+
+def _complex(re, im):
+    z = np.empty(re.shape, np.complex128)
+    z.real, z.imag = re, im  # re + 1j * im would turn an infinite im into a NaN re
+    return z
+
+
+def _writer_orbits():
+    rng = np.random.default_rng(11)
+    orbits = []
+    for model, shape in [("halfplane", (300,)), ("disk", (40,)), ("siegel", (257, 2)),
+                         ("ball", (64, 2)), ("siegel", (120, 3)), ("halfplane", (1,)),
+                         ("siegel", (1, 2))]:
+        pts = _complex(_sprinkled(rng, shape), _sprinkled(rng, shape))
+        orbits.append(dynamics.Orbit(None, model, None, pts, "max_iter"))
+    orbits.append(dynamics.iterate(maps.HalfplaneAffine(1.0, 0.3 - 0.7j), complex(1.0, -0.0), 500))
+    return orbits
+
+
+WRITER_ORBITS = _writer_orbits()
+
+
+@pytest.mark.parametrize("case", range(len(WRITER_ORBITS)))
+def test_orbit_csv_matches_the_cell_loop(tmp_path, case):
+    orbit = WRITER_ORBITS[case]
+    rng = np.random.default_rng(case)
+    n = orbit.length
+    steps = _sprinkled(rng, max(n - 1, 0))
+    full = [_sprinkled(rng, n) for _ in range(3)]
+    radial = _complex(_sprinkled(rng, max(n - 1, 0)), _sprinkled(rng, max(n - 1, 0)))
+    radial[: min(radial.size, 3)] = [complex(np.nan, 1.0), complex(1.0, np.inf), 1e-310j][
+        : min(radial.size, 3)]
+    path = str(tmp_path / "out.csv")
+    cases = [
+        # orbit.csv
+        ([], []),
+        # steps.csv: s_n has one cell fewer than the orbit
+        ([("s_n", steps, _real_cell)], [steps]),
+        # approach.csv: three full series, then the shorter radial quotient
+        ([(name, s, _real_cell) for name, s in zip(["koranyi_q", "special_ratio", "nt_q"], full)]
+         + [("radial_q", radial, _abs_cell)],
+         full + [np.hypot(radial.real, radial.imag)]),
+        # a short series before a full one leaves empty cells inside the line
+        ([("a", steps[: n // 2], _real_cell), ("b", full[0], _real_cell)],
+         [steps[: n // 2], full[0]]),
+    ]
+    for named, series in cases:
+        header, lines = cli._orbit_rows(orbit, *series)
+        cli._write_csv(path, header + [name for name, _, _ in named], lines)
+        with open(path, "rb") as fh:
+            assert fh.read() == reference_orbit_csv(orbit, named)

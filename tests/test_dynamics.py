@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from diskdyn import diagnostics, dynamics, maps
+from diskdyn import diagnostics, dynamics, geometry, maps
 from diskdyn.dynamics import Budgets, StoppingPolicy
 from diskdyn.errors import (
     DomainError, EstimationError, EvaluationError, ModelMismatchError, PreconditionError,
@@ -710,19 +712,46 @@ def test_planar_fixed_point_threshold_in_scalar_arithmetic():
 _NAN = float("nan")
 
 
+# every model, with a NaN or an infinite coordinate; the half-plane and Siegel
+# margins do not read Im z
 @pytest.mark.parametrize("spec, start", [
     (maps.DiskMoebius(0.5), _NAN),
     (maps.HalfplaneAffine(1.0, 1.0), _NAN),
     (maps.Conjugated(maps.SiegelTranslation(1.0)), np.array([_NAN, 0.0])),
     (maps.SiegelTranslation(1.0), np.array([1.0, _NAN])),
+    (maps.DiskMoebius(0.5), complex(0.1, _NAN)),
+    (maps.DiskMoebius(0.5), complex(np.inf, 0.0)),
+    (maps.HalfplaneAffine(1.0, 1.0), complex(1.0, _NAN)),
+    (maps.HalfplaneAffine(1.0, 1.0), complex(1.0, np.inf)),
+    (maps.HalfplaneAffine(1.0, 1.0), complex(1.0, -np.inf)),
+    (maps.HalfplaneAffine(1.0, 1.0), complex(np.inf, 0.0)),
+    (maps.HalfplanePerturbed(1j, 1.0), complex(2.0, _NAN)),
+    (maps.Conjugated(maps.SiegelTranslation(1.0)), np.array([0.1, complex(0.0, _NAN)])),
+    (maps.Conjugated(maps.SiegelTranslation(1.0)), np.array([complex(0.1, np.inf), 0.0])),
+    (maps.SiegelTranslation(1.0), np.array([complex(1.0, _NAN), 0.0])),
+    (maps.SiegelTranslation(1.0), np.array([complex(1.0, np.inf), 0.0])),
+    (maps.SiegelTranslation(1.0), np.array([complex(np.inf, 0.0), 0.0])),
+    (maps.SiegelTranslation(1.0), np.array([1.0, complex(0.1, _NAN)])),
+    (maps.HeisenbergTranslation((0.5,)), np.array([complex(2.0, -np.inf), 0.1])),
 ])
 def test_nan_start_is_outside_the_domain(spec, start):
-    with pytest.raises(DomainError):
-        dynamics.iterate(spec, start, 10)
-    with pytest.raises(DomainError):
-        maps.evaluate(spec, start)
-    with pytest.raises(DomainError):
-        dynamics.classify(spec, [start, start])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # rejected before any arithmetic on it
+        with pytest.raises(DomainError):
+            dynamics.iterate(spec, start, 10)
+        with pytest.raises(DomainError):
+            maps.evaluate(spec, start)
+        with pytest.raises(DomainError):
+            dynamics.classify(spec, [start, start])
+
+
+def test_non_finite_point_dataclasses_are_rejected():
+    for make, args in [(geometry.DiskPoint, (complex(0.1, _NAN),)),
+                       (geometry.HalfPlanePoint, (complex(1.0, np.inf),)),
+                       (geometry.BallPoint, (0.1, [complex(0.0, _NAN)])),
+                       (geometry.SiegelPoint, (complex(1.0, _NAN), [0.0]))]:
+        with pytest.raises(DomainError):
+            make(*args)
 
 
 def test_unknown_model_name_is_a_model_mismatch():
@@ -733,3 +762,64 @@ def test_unknown_model_name_is_a_model_mismatch():
                    lambda: maps.Identity("torus")):
         with pytest.raises(ModelMismatchError, match="unknown model 'torus'"):
             lookup()
+
+
+# ---------------------------------------------------------------------------
+# the running-sum block of HalfplaneAffine(1, b) against the per-step calls
+
+
+_NEG = complex(1.0, -0.0)
+
+# (b, start, n_max, policy, stop reason, orbit length or None)
+AFFINE_BLOCK_CASES = {
+    "im_plus_zero": (0.5, 1.0 + 0j, 1000, None, "max_iter", 1001),
+    "im_minus_zero": (0.5, _NEG, 1000, None, "max_iter", 1001),
+    # -0.0 + -0.0 is -0.0: a running sum from z_0 itself would keep the sign
+    "b_im_minus_zero": (complex(0.5, -0.0), _NEG, 1000, None, "max_iter", 1001),
+    "b_minus_zero_from_plus": (complex(0.125, -0.0), 3.0 + 0j, 700, None, "max_iter", 701),
+    "inexact_sums": (0.3 - 0.7j, 1.1 + 0.2j, 5000, None, "max_iter", 5001),
+    "vertical": (1j * np.pi, 1e-3 - 2j, 3000, None, "max_iter", 3001),
+    "b_zero": (0j, 2.0 + 1j, 100, None, "interior_fixed_point", 2),
+    "b_zero_minus_zero": (0j, _NEG, 100, None, "interior_fixed_point", 2),
+    # 1 + 1000 * 1e9 passes 1e12 at step 1000, inside the fourth 256-step block
+    "magnitude_mid_block": (1e9, 1.0, 1500, None, "boundary_proximity", 1001),
+    # |Im z| = 334 * 3e7 passes 1e10 at step 334, inside the second block
+    "magnitude_policy": (0.75 + 3e7j, 1.0, 2000, StoppingPolicy(max_magnitude=1e10),
+                         "boundary_proximity", 335),
+    # past an overflow the calls give NaN (1 * inf - 0 * y); the block steps by calls there
+    "overflow": (1e307j, 1.0, 400, StoppingPolicy(max_magnitude=np.inf), "numeric_failure",
+                 None),
+    "overflow_real": (1e307, 1.0 + 0.5j, 400, StoppingPolicy(max_magnitude=np.inf),
+                      "numeric_failure", None),
+}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf in the screen
+@pytest.mark.parametrize("name", sorted(AFFINE_BLOCK_CASES))
+def test_affine_translation_block_matches_per_step_calls(name, monkeypatch):
+    b, start, n_max, policy, stop, length = AFFINE_BLOCK_CASES[name]
+    spec = maps.HalfplaneAffine(1.0, b)
+    ref = reference_planar_orbit(spec, start, n_max, policy)
+    if stop is not None:
+        assert ref[1] == stop
+    if length is not None:
+        assert ref[0].size == length
+    calls = []
+    monkeypatch.setattr(maps.HalfplaneAffine, "__call__",
+                        lambda self, z: calls.append(z) or self.lam * z + self.b)
+    orbit = dynamics.iterate(spec, start, n_max, policy)
+    _assert_same(orbit, ref)
+    if name.startswith("overflow"):
+        return
+    # one call per 256-step block, for its first step; every stop here keeps its point
+    assert len(calls) == -(-(orbit.length - 1) // 256)
+
+
+@pytest.mark.parametrize("spec", [
+    maps.HalfplaneAffine(2.0, 1.0),
+    maps.HalfplaneAffine(0.5, 1j),
+    maps.HalfplaneAffine(1.0, complex(1.0, np.nan)),
+    maps.HalfplaneAffine(1.0, complex(np.inf, 0.0)),
+])
+def test_affine_block_only_for_finite_translations(spec):
+    assert spec._block is None

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from diskdyn import dynamics, maps, plotting
 
@@ -72,3 +73,82 @@ def test_orbit_disk_coords_bit_for_bit_in_every_model():
         got, want = plotting.orbit_disk_coords(orb), reference_disk_coords(orb)
         assert got.shape == want.shape == (orb.length,)
         assert got.tobytes() == want.tobytes()
+
+
+def reference_render_orbit_svg(disk_pts, dw=1.0 + 0.0j, marker_size=2.0, tail_highlight=0,
+                               title=""):
+    """render_orbit_svg one point at a time, as before the column-wise writer."""
+
+    def fmt(x):
+        return format(x, ".6f")
+
+    def xy(z):
+        return 250.0 + 220.0 * z.real, 250.0 - 220.0 * z.imag
+
+    out = [
+        '<svg xmlns="http://www.w3.org/2000/svg" width="500" height="500" '
+        'viewBox="0 0 500 500">',
+        '<rect width="500" height="500" fill="white"/>',
+        f'<circle cx="{fmt(250.0)}" cy="{fmt(250.0)}" r="{fmt(220.0)}" '
+        'fill="none" stroke="black" stroke-width="1"/>',
+    ]
+    if title:
+        out.append(f'<text x="10" y="20" font-size="14">{title}</text>')
+    pts = [complex(z) for z in np.atleast_1d(disk_pts)]
+    if len(pts) >= 2:
+        coords = " ".join(f"{fmt(x)},{fmt(y)}" for x, y in (xy(z) for z in pts))
+        out.append(
+            f'<polyline points="{coords}" fill="none" stroke="steelblue" stroke-width="0.8"/>'
+        )
+    for i, z in enumerate(pts):
+        x, y = xy(z)
+        last = i == len(pts) - 1
+        tail = tail_highlight and i >= len(pts) - tail_highlight
+        color = "crimson" if last else ("darkorange" if tail else "steelblue")
+        r = marker_size * (1.6 if last else 1.0)
+        out.append(f'<circle cx="{fmt(x)}" cy="{fmt(y)}" r="{fmt(r)}" fill="{color}"/>')
+    if pts:
+        x, y = xy(pts[0])
+        out.append(
+            f'<circle cx="{fmt(x)}" cy="{fmt(y)}" r="{fmt(marker_size * 1.6)}" '
+            'fill="none" stroke="seagreen" stroke-width="1.2"/>'
+        )
+    dx, dy = xy(complex(dw))
+    out.append(
+        f'<circle cx="{fmt(dx)}" cy="{fmt(dy)}" r="{fmt(marker_size * 2.0)}" '
+        'fill="none" stroke="black" stroke-width="1.5"/>'
+    )
+    out.append("</svg>")
+    return "\n".join(out) + "\n"
+
+
+def _svg_inputs():
+    rng = np.random.default_rng(5)
+    disk = np.sqrt(rng.uniform(0.0, 1.0, 300)) * np.exp(1j * rng.uniform(-np.pi, np.pi, 300))
+    odd = np.empty(12, np.complex128)
+    odd.real = [-0.0, 0.0, 1e12, -1e12 / 3.0, 5e-324, -2.5e-310, np.nan, np.inf, 0.5, 1e-7,
+                -0.9999999, 1.0 / 3.0]
+    odd.imag = [-0.0, -0.0, 2.5e-310, np.nan, -np.inf, 1e12, 0.25, 0.0, -0.0, -1e-7, 3e11,
+                -1.0 / 7.0]
+    orbit = dynamics.iterate(maps.HalfplaneAffine(1.0, 0.3 - 0.7j), complex(1.0, -0.0), 2000)
+    return {
+        "disk": disk,
+        "odd": odd,
+        "one": np.array([0.25 - 0.5j]),
+        "real": np.linspace(-0.5, 0.5, 7),  # a real array, as the old loop took it
+        "empty": np.array([], np.complex128),
+        "orbit": plotting.orbit_disk_coords(orbit),
+    }
+
+
+SVG_INPUTS = _svg_inputs()
+
+
+@pytest.mark.parametrize("name", sorted(SVG_INPUTS))
+def test_svg_matches_the_point_loop(name):
+    pts = SVG_INPUTS[name]
+    n = np.atleast_1d(pts).size
+    for tail in (0, 1, 5, -3, n, n + 10):
+        for kwargs in ({}, {"marker_size": 0.7, "dw": -0.5 + 0.25j, "title": "t"}):
+            got = plotting.render_orbit_svg(pts, tail_highlight=tail, **kwargs)
+            assert got == reference_render_orbit_svg(pts, tail_highlight=tail, **kwargs)
