@@ -128,8 +128,9 @@ def iterate(spec, start, n_max: int, policy: StoppingPolicy | None = None) -> Or
     that equal its step-by-step points bit for bit; for the half-plane
     translation that holds because ``1.0 * z`` changes only the sign of an
     Im z of -0.0, which the block's first step, a call, takes care of.  Every
-    other map is called once per step.  A start with a non-finite coordinate
-    raises DomainError.
+    other map is called once per step, and a block's points are stored
+    together, so a map must not change the point it is given.  A start with
+    a non-finite coordinate raises DomainError.
     """
     policy = policy or StoppingPolicy()
     model = MODELS[spec.model]
@@ -148,13 +149,23 @@ def iterate(spec, start, n_max: int, policy: StoppingPolicy | None = None) -> Or
         if fill is not None:
             fill(buf[t], buf[t + 1 : end + 1])
         else:
+            pts = []
             for j in range(t + 1, end + 1):
                 try:
                     cur = spec(cur)
-                    buf[j] = cur
                 except Exception as err:  # raised only if no earlier step stops
                     exc, end = err, j - 1
                     break
+                pts.append(cur)
+            try:
+                buf[t + 1 : end + 1] = pts
+            except Exception:  # a point that is not a number: find the first one
+                for j, p in enumerate(pts, t + 1):
+                    try:
+                        buf[j] = p
+                    except Exception as err:  # raised only if no earlier step stops
+                        exc, end = err, j - 1
+                        break
         block = rows[t : end + 1]
         for i in np.flatnonzero(~_screen(model, policy, block, t)).tolist():
             reason, kept = _check_step(model, policy, block[i + 1], block[i], t + i)
@@ -174,6 +185,10 @@ def iterate_batch(spec, starts, n_max: int, policy: StoppingPolicy | None = None
     return [iterate(spec, s, n_max, policy) for s in starts]
 
 
+# past an overflow an orbit can hold inf, and inf - inf is NaN: the screen then
+# flags the step, and the check finds no fixed point there, or a numeric
+# failure, as it should; the decorators keep numpy from warning about it
+@np.errstate(invalid="ignore")
 def _screen(model: Model, policy: StoppingPolicy, pts, t: int):
     """(m,) mask of the steps of pts that certainly pass _check_step.
 
@@ -199,6 +214,7 @@ def _screen(model: Model, policy: StoppingPolicy, pts, t: int):
     return clear
 
 
+@np.errstate(invalid="ignore")
 def _check_step(model: Model, policy: StoppingPolicy, nxt, cur, k: int):
     """The stopping rule for step k, from the (N,) point cur to nxt.
 

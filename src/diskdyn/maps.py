@@ -16,6 +16,8 @@ The built-in families cover the dynamical taxonomy with closed-form oracles:
 ``SiegelTranslation``, ``HeisenbergTranslation``, any ``Composition`` of
 them, and ``HalfplaneAffine`` with lam = 1 also step a whole block of an orbit
 at once (their private ``_block``, which ``dynamics.iterate`` uses).  The
+half-plane translation's block, ``_shift_block``, takes one point or a row of
+points, so ``conjugation`` steps its whole sample grid with it too.  The
 translations move w by a fixed ``a`` and z by terms known from w, so every
 coordinate of the block is a running sum of per-step terms.
 ``np.add.accumulate`` adds those terms one after the other, in the order
@@ -26,8 +28,10 @@ itself for every finite z with Re z > 0, except that CPython before 3.14
 multiplies as complex numbers and turns an Im z of -0.0 into +0.0.  The block makes its
 first step by a call; under that rule no later point has an Im z of -0.0,
 since a sum is -0.0 only when both terms are, so the running sum of b from
-there matches the calls bit for bit.  Every other map is stepped one call at
-a time.
+there matches the calls bit for bit.  A row of points steps element by
+element, and numpy multiplies it as complex numbers too, so the same holds
+for a row whose points all have Re z > 0.  Every other map is stepped one
+call at a time.
 """
 
 from __future__ import annotations
@@ -53,13 +57,17 @@ class DiskMoebius:
     a: complex
     theta: float = 0.0
     model: ClassVar[str] = "disk"
+    _rot: complex = field(init=False, repr=False, compare=False)
+    _conj_a: complex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "a", _c(self.a))
         object.__setattr__(self, "theta", float(self.theta))
+        object.__setattr__(self, "_rot", np.exp(1j * self.theta))
+        object.__setattr__(self, "_conj_a", np.conjugate(self.a))
 
     def __call__(self, z):
-        return np.exp(1j * self.theta) * (z - self.a) / (1.0 - np.conjugate(self.a) * z)
+        return self._rot * (z - self.a) / (1.0 - self._conj_a * z)
 
     def params_ok(self) -> bool:
         return abs(self.a) < 1.0
@@ -89,17 +97,21 @@ class HalfplaneAffine:
         return self._shift_block if self.lam == 1.0 and np.isfinite(self.b) else None
 
     def _shift_block(self, cur, out):
-        """Fill out (m,) with the m points after cur of the orbit of z + b."""
-        z = self(complex(cur))
-        out[0] = z
-        out[1:] = self.b
-        with np.errstate(over="ignore"):  # an overflow gives inf, silently as the calls do
-            np.add.accumulate(out, out=out)
-        if not np.isfinite(out[-1]):
-            # past an overflow 1.0 * z changes z (1 * inf - 0 * y is NaN): step by calls
-            for j in range(1, out.size):
-                z = self(z)
-                out[j] = z
+        """Fill out (m,) or (m, k) with the m points of the orbit of z + b after cur.
+
+        cur is one point, or a row (k,) of points for an (m, k) block.
+        """
+        # an overflow gives inf and then NaN, silently as the one-point calls do
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = self(cur if isinstance(cur, np.ndarray) else complex(cur))
+            out[0] = z
+            out[1:] = self.b
+            np.add.accumulate(out, axis=0, out=out)
+            if not np.isfinite(out[-1:]).all():
+                # past an overflow 1.0 * z changes z (1 * inf - 0 * y is NaN): step by calls
+                for j in range(1, len(out)):
+                    z = self(z)
+                    out[j] = z
 
     def params_ok(self) -> bool:
         return self.lam > 0.0 and self.b.real >= 0.0

@@ -87,3 +87,76 @@ def test_report_mentions_checkpoints():
     for n in CPS:
         assert str(n) in text
     assert "b_estimate" in text
+
+
+# ---------------------------------------------------------------------------
+# the block-stepped grid of HalfplaneAffine(1, b) against the per-step calls
+
+
+def reference_run_grid(spec, grid, basepoint, checkpoints):
+    """_run_grid's loop before translations stepped the grid in blocks: one call per step."""
+    pts = np.concatenate((np.asarray(grid, np.complex128), [complex(basepoint)]))
+    want = sorted(set(int(c) for c in checkpoints))
+    samples = {}
+    cur = pts
+    with np.errstate(over="ignore", invalid="ignore"):  # the overflowing translation
+        for n in range(1, want[-1] + 1):
+            cur = spec(cur)
+            if n in want:
+                nxt = spec(cur)
+                samples[n] = (cur[:-1].copy(), nxt[:-1].copy(), complex(cur[-1]), complex(nxt[-1]))
+    return samples, tuple(want)
+
+
+def _sample_bytes(sample):
+    return [np.asarray(v, np.complex128).tobytes() for v in sample]
+
+
+_GRID_CPS = (1, 2, 255, 256, 257, 400, 5000)
+_NEG = complex(1.0, -0.0)
+_SIGNED_GRID = np.array([_NEG, complex(2.5, -0.0), complex(0.5, 0.0), 3.0 - 1j, 1e-3 + 4j])
+
+# (spec, grid, basepoint); grid None is the default grid
+GRID_CASES = {
+    "b_real": (maps.HalfplaneAffine(1.0, 1.0), None, 1.0),
+    "b_im_minus_zero": (maps.HalfplaneAffine(1.0, complex(0.5, -0.0)), _SIGNED_GRID, _NEG),
+    "b_im_plus_zero": (maps.HalfplaneAffine(1.0, complex(0.125, 0.0)), _SIGNED_GRID, _NEG),
+    "inexact_sums": (maps.HalfplaneAffine(1.0, 0.3 - 0.7j), None, 1.1 + 0.2j),
+    "vertical": (maps.HalfplaneAffine(1.0, 1j * np.pi), _SIGNED_GRID, 2.0),
+    # past an overflow the calls give NaN (1 * inf - 0 * y); the block steps by calls there
+    "overflow": (maps.HalfplaneAffine(1.0, 1e306), None, 1.0),
+    "overflow_imag": (maps.HalfplaneAffine(1.0, 1e306j), _SIGNED_GRID, 1.0),
+    # one point overflows at step 298, inside the chunk up to 400, the others near step 1797
+    "overflow_one_point": (maps.HalfplaneAffine(1.0, 1e305), np.array([1.5e308, 2.0 + 1j]), 1.0),
+    # a start with Re z < 0 can turn a -0.0 into +0.0 later: the calls step it
+    "outside_start": (maps.HalfplaneAffine(1.0, complex(0.4, -0.0)),
+                      np.array([complex(-1.0, -0.0), 2.0]), 1.0),
+    "perturbed": (maps.HalfplanePerturbed(1j, 1.0), None, 1.0),
+    "contraction": (maps.HalfplaneAffine(0.5, 1j), _SIGNED_GRID, _NEG),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRID_CASES))
+def test_run_grid_matches_per_step_calls(name):
+    spec, grid, basepoint = GRID_CASES[name]
+    grid = conjugation.default_grid() if grid is None else grid
+    ref, ref_cps = reference_run_grid(spec, grid, basepoint, _GRID_CPS)
+    samples, cps = conjugation._run_grid(spec, grid, basepoint, _GRID_CPS)
+    assert cps == ref_cps == _GRID_CPS
+    assert sorted(samples) == sorted(ref)
+    for n in cps:
+        assert _sample_bytes(samples[n]) == _sample_bytes(ref[n])
+    if name.startswith("overflow"):
+        assert np.isnan(samples[5000][0]).all()
+
+
+def test_run_grid_steps_translations_in_blocks(monkeypatch):
+    calls = []
+    monkeypatch.setattr(maps.HalfplaneAffine, "__call__",
+                        lambda self, z: calls.append(z) or self.lam * z + self.b)
+    conjugation._run_grid(maps.HalfplaneAffine(1.0, 0.5 + 1j), conjugation.default_grid(),
+                          1.0, _GRID_CPS)
+    # one call per chunk of up to 256 rows between checkpoints, and one per checkpoint
+    gaps = np.diff((0,) + _GRID_CPS)
+    assert len(calls) == int(np.sum(-(-gaps // 256))) + len(_GRID_CPS)
+    assert all(np.shape(z) == (26,) for z in calls)

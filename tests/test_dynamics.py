@@ -675,6 +675,33 @@ def test_planar_map_errors_before_the_stop():
     _assert_same(dynamics.iterate(spec, 1.0, 300), reference_planar_orbit(spec, 1.0, 300))
 
 
+class PlanarArrayBeyond:
+    """z -> z + 1 on the half-plane, returned as a (1,) array once Re z passes `edge`."""
+
+    model = "halfplane"
+
+    def __init__(self, edge):
+        self.edge = edge
+
+    def __call__(self, z):
+        z = z + 1.0
+        return np.array([z]) if z.real > self.edge else z
+
+
+def test_planar_points_that_are_not_numbers_fail_as_in_the_scalar_loop():
+    # a block's points are stored together; one that is not a number still
+    # raises the loop's TypeError, and only if no earlier step stops
+    spec = PlanarArrayBeyond(300.5)
+    with pytest.raises(TypeError):
+        reference_planar_orbit(spec, 1.0, 1000)
+    with pytest.raises(TypeError):
+        dynamics.iterate(spec, 1.0, 1000)
+    policy = StoppingPolicy(max_magnitude=100.0)
+    ref = reference_planar_orbit(spec, 1.0, 1000, policy)
+    assert ref[1] == "boundary_proximity"
+    _assert_same(dynamics.iterate(spec, 1.0, 1000, policy), ref)
+
+
 @pytest.mark.parametrize("n_max", [0, 1, 17, 255, 256, 257, 4097])
 def test_planar_engine_block_edges(n_max):
     for spec, start in [(maps.HalfplaneAffine(1.0, 1.0 + 1j), 1.0),
@@ -791,10 +818,12 @@ AFFINE_BLOCK_CASES = {
                  None),
     "overflow_real": (1e307, 1.0 + 0.5j, 400, StoppingPolicy(max_magnitude=np.inf),
                       "numeric_failure", None),
+    # the orbit stops at step 1, and the block overflows past the stop: the
+    # screen's inf - inf must stay silent
+    "overflow_past_the_stop": (1e306, 1.0, 1000, None, "boundary_proximity", 2),
 }
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf in the screen
 @pytest.mark.parametrize("name", sorted(AFFINE_BLOCK_CASES))
 def test_affine_translation_block_matches_per_step_calls(name, monkeypatch):
     b, start, n_max, policy, stop, length = AFFINE_BLOCK_CASES[name]

@@ -210,6 +210,36 @@ def test_automorphism_is_isometry():
         assert g.pdist_disk(f(z), f(w)) == pytest.approx(g.pdist_disk(z, w), abs=1e-12)
 
 
+def _uncached_moebius(spec, z):
+    """DiskMoebius.__call__ as it was before the rotation and conj(a) were stored."""
+    return np.exp(1j * spec.theta) * (z - spec.a) / (1.0 - np.conjugate(spec.a) * z)
+
+
+@pytest.mark.parametrize("a, theta", [
+    (0.0, 0.0), (0.5, 0.0), (0.0, 1.0), (0.3 - 0.4j, 2.5), (-0.7j, -2.0),
+    (complex(0.2, -0.0), np.pi), (complex(-0.0, 0.6), -0.0),
+])
+def test_disk_moebius_matches_the_uncached_formula(a, theta):
+    spec = maps.DiskMoebius(a, theta)
+    rng = np.random.default_rng(7)
+    zs = 0.95 * np.sqrt(rng.uniform(size=64)) * np.exp(1j * rng.uniform(-np.pi, np.pi, 64))
+    zs[:4] = [0.0, complex(0.0, -0.0), complex(-0.0, 0.5), complex(0.5, -0.0)]
+    for z in zs.tolist() + list(zs[:8]):  # Python complex numbers and numpy scalars
+        got, want = spec(z), _uncached_moebius(spec, z)
+        assert type(got) is type(want)
+        assert np.complex128(got).tobytes() == np.complex128(want).tobytes()
+    for arr in (zs, zs.reshape(8, 8)):
+        assert spec(arr).tobytes() == _uncached_moebius(spec, arr).tobytes()
+    # the stored values stay out of the spec's dict, equality, hash and repr
+    d = maps.spec_to_dict(spec)
+    assert d == {"family": "DiskMoebius", "a": [complex(a).real, complex(a).imag],
+                 "theta": float(theta)}
+    back = maps.spec_from_dict(d)
+    assert back == spec and hash(back) == hash(spec)
+    assert back == maps.DiskMoebius(complex(a), float(theta))
+    assert repr(spec) == f"DiskMoebius(a={complex(a)!r}, theta={float(theta)!r})"
+
+
 def test_serialization_roundtrip_bit_exact():
     specs = [
         maps.DiskMoebius(0.1 - 0.7j, 2.5),
