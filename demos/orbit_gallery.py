@@ -15,7 +15,7 @@ import os
 import numpy as np
 
 from diskdyn import dynamics, maps, plotting
-from diskdyn.geometry import tangency_angle_series_siegel
+from diskdyn.geometry import approach_series_siegel
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -23,7 +23,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 def describe(name, spec, n=2000):
     orbit = dynamics.iterate(spec, 1.0, n)
     st = dynamics.step_series(orbit)
-    angles = tangency_angle_series_siegel(orbit.points[:, None])
+    angles = approach_series_siegel(orbit.points)[3]
     print(f"{name}: verdict={st.verdict}  d_inf~{st.d_inf_estimate:.6f}  "
           f"final angle of 1-z_n = {angles[-1]:+.4f} rad")
     svg = plotting.render_orbit_svg(

@@ -81,6 +81,8 @@ def _require_parabolic(spec, precheck_n: int):
     return rep
 
 
+# an overflowing grid point turns inf, then NaN, silently, as in the block method
+@np.errstate(over="ignore", invalid="ignore")
 def _run_grid(spec, grid, basepoint, checkpoints):
     """Push grid + basepoint through the iterates, sampling at checkpoints.
 

@@ -71,25 +71,9 @@ class ApproachReport:
 
 def _orbit_series(orbit: Orbit, X):
     """(special, koranyi, nt, angle, euclid_nt, boundary_dist); _resolve_vertex checked X."""
-    pts = orbit.points
     if MODELS[orbit.model].unbounded:
-        return (
-            geometry.special_ratio_series_siegel(pts),
-            geometry.koranyi_series_siegel(pts),
-            geometry.nt_quotient_series_siegel(pts),
-            geometry.tangency_angle_series_siegel(pts),
-            geometry.euclid_nt_series_siegel(pts),
-            geometry.boundary_dist_series_siegel(pts),
-        )
-    x = X.X
-    return (
-        geometry.special_ratio_series_ball(pts, x),
-        geometry.koranyi_series_ball(pts, x),
-        geometry.nt_quotient_series_ball(pts, x),
-        geometry.tangency_angle_series_ball(pts, x),
-        geometry.euclid_nt_series_ball(pts, x),
-        geometry.boundary_dist_series_ball(pts, x),
-    )
+        return geometry.approach_series_siegel(orbit.points)
+    return geometry.approach_series_ball(orbit.points, X.X)
 
 
 def _resolve_vertex(orbit: Orbit, X) -> BoundaryPoint:

@@ -15,13 +15,16 @@ sphere.
 ``MODELS`` maps each model's name to its ``Model`` record, which the other
 modules read instead of branching on the name: whether the model is unbounded
 and planar, its starts, its point coercion and domain margin, its side of the
-Cayley pair, its metric and its step and gap series.  The planar gap series
-are the N = 1 case of the ball / Siegel ones; the planar step series are not.
+Cayley pair, its metric and its step and gap series.  Each quantity has one
+formula, on the ball or the Siegel side, whose N = 1 case is the planar one;
+the metric ``pdist`` is the step series of a two-point orbit.
 
-Quantities that degenerate near the boundary (1 - |z1|^2, 1 - ||Z||, the
-special ratio, the Koranyi quotient, ...) are never formed by subtracting
-nearly equal ball coordinates when the data is native to a half-plane model;
-the exact identities
+The step d(p_n, p_{n+1}) is formed from the step itself (``step_series_siegel``,
+``step_series_ball``), never as sqrt(1 - (product of margins)/|cross|^2), which
+cancels for small steps.  Quantities that degenerate near the boundary
+(1 - |z1|^2, 1 - ||Z||, the special ratio, the Koranyi quotient, ...) are never
+formed by subtracting nearly equal ball coordinates when the data is native to
+a half-plane model; the exact identities
 
     1 - z1      = 2 / (z + 1)
     1 - |z1|^2  = 4 Re z / |z + 1|^2
@@ -29,7 +32,8 @@ the exact identities
     ||w_ball||^2 = 4 ||w||^2 / |z + 1|^2
 
 are used instead, so orbits reaching |z| ~ 1e6 and far beyond keep their
-relative accuracy in double precision.
+relative accuracy in double precision.  Ball-native data has no such escape:
+its 1 - ||Z||^2 cancels in the stored coordinates near the sphere.
 """
 
 from __future__ import annotations
@@ -251,235 +255,187 @@ def ball_to_siegel_array(Z):
 
 
 # ---------------------------------------------------------------------------
-# pseudo-hyperbolic metrics
+# pseudo-hyperbolic metrics: the two-point case of the step series
 
 
 def pdist_disk(p, q) -> float:
     """d(z, w) = |z - w| / |1 - conj(z) w|."""
-    z, w = _coords("disk", p), _coords("disk", q)
-    return abs(z - w) / abs(1.0 - z.conjugate() * w)
+    return MODELS["disk"].pdist(p, q)
 
 
 def pdist_halfplane(p, q) -> float:
     """Pullback of the disk metric: d(z, w) = |z - w| / |z + conj(w)|."""
-    z, w = _coords("halfplane", p), _coords("halfplane", q)
-    return abs(z - w) / abs(z + w.conjugate())
+    return MODELS["halfplane"].pdist(p, q)
 
 
 def pdist_ball(p, q) -> float:
     """Ball metric, 1 - d^2 = (1 - ||Z||^2)(1 - ||W||^2)/|1 - <Z,W>|^2."""
-    Z, W = _coords("ball", p), _coords("ball", q)
-    if Z.size != W.size:
-        raise DomainError("dimension mismatch")
-    one_minus_ip = 1.0 - np.vdot(W, Z)  # <Z, W> = sum Z conj(W)
-    num = (1.0 - float(np.sum(np.abs(Z) ** 2))) * (1.0 - float(np.sum(np.abs(W) ** 2)))
-    d2 = 1.0 - num / abs(one_minus_ip) ** 2
-    return float(np.sqrt(min(max(d2, 0.0), 1.0)))
+    return MODELS["ball"].pdist(p, q)
 
 
 def pdist_siegel(p, q) -> float:
-    """Siegel-native form: 1 - d^2 = 4 A A' / |z + conj(z') - 2<w,w'>|^2.
-
-    Here A = Re z - ||w||^2 is the boundary margin; the formula is the exact
-    pullback of the ball metric under the fixed Cayley transform.
-    """
-    P, Q = _coords("siegel", p), _coords("siegel", q)
-    if P.size != Q.size:
-        raise DomainError("dimension mismatch")
-    a = P[0].real - float(np.sum(np.abs(P[1:]) ** 2))
-    b = Q[0].real - float(np.sum(np.abs(Q[1:]) ** 2))
-    cross = P[0] + Q[0].conjugate() - 2.0 * complex(np.vdot(Q[1:], P[1:]))
-    d2 = 1.0 - 4.0 * a * b / abs(cross) ** 2
-    return float(np.sqrt(min(max(d2, 0.0), 1.0)))
+    """Pullback of the ball metric: 1 - d^2 = 4 A A' / |z + conj(z') - 2<w,w'>|^2, A = margin."""
+    return MODELS["siegel"].pdist(p, q)
 
 
 # ---------------------------------------------------------------------------
-# boundary-approach quotients (pointwise; series versions further down)
+# boundary-approach quotients: row 0 of the ball approach series
+
+
+def _quotients(p, X) -> list:
+    """(special, koranyi, nt, angle, euclid_nt, boundary_dist) at one ball point."""
+    Z = _coords("ball", p)
+    x = _x_vector(X, Z.size)
+    if complex(np.vdot(x, Z)) == 1.0:
+        raise DegenerateInputError("<Z, X> = 1")
+    return [float(s[0]) for s in approach_series_ball(Z[None], x)]
 
 
 def koranyi_quotient(p, X) -> float:
     """|1 - <Z, X>| / (1 - ||Z||); Z lies in K(X, M) iff the value is < M."""
-    Z = _coords("ball", p)
-    x = _x_vector(X, Z.size)
-    t = complex(np.vdot(x, Z))
-    return abs(1.0 - t) / (1.0 - float(np.linalg.norm(Z)))
+    return _quotients(p, X)[1]
 
 
 def special_ratio(p, X) -> float:
     """||Z - <Z,X>X||^2 / (1 - ||<Z,X>X||^2); 0 iff Z is a multiple of X."""
-    Z = _coords("ball", p)
-    x = _x_vector(X, Z.size)
-    t = complex(np.vdot(x, Z))
-    orth = Z - t * x
-    return float(np.sum(np.abs(orth) ** 2)) / (1.0 - abs(t) ** 2)
+    return _quotients(p, X)[0]
 
 
 def projection_nt_quotient(p, X) -> float:
     """|1 - <Z,X>| / (1 - |<Z,X>|); bounded iff the projection is non-tangential."""
-    Z = _coords("ball", p)
-    x = _x_vector(X, Z.size)
-    t = complex(np.vdot(x, Z))
-    if t == 1.0:
-        raise DegenerateInputError("<Z, X> = 1")
-    return abs(1.0 - t) / (1.0 - abs(t))
+    return _quotients(p, X)[2]
 
 
 def tangency_angle(p, X) -> float:
     """Arg(1 - <Z,X>) in (-pi, pi]; |angle| -> pi/2 signals tangential approach."""
-    Z = _coords("ball", p)
-    x = _x_vector(X, Z.size)
-    t = complex(np.vdot(x, Z))
-    if t == 1.0:
-        raise DegenerateInputError("<Z, X> = 1")
-    return float(np.angle(1.0 - t))
+    return _quotients(p, X)[3]
 
 
 # ---------------------------------------------------------------------------
 # vectorized series over orbit arrays
 #
-# Planar orbits are 1-d complex arrays; ball/Siegel orbits are (n, N) complex
-# arrays with column 0 holding the distinguished coordinate.
+# An orbit is an (n, N) complex array with column 0 holding the distinguished
+# coordinate; a planar orbit, an (n,) array, is read as the (n, 1) one.
 
 
-def step_series_disk(zs: np.ndarray) -> np.ndarray:
-    zs = np.asarray(zs)
-    return np.abs(zs[1:] - zs[:-1]) / np.abs(1.0 - np.conj(zs[:-1]) * zs[1:])
+def _rows(P) -> np.ndarray:
+    P = np.asarray(P)
+    return P.reshape(len(P), -1)
 
 
-def step_series_halfplane(zs: np.ndarray) -> np.ndarray:
-    zs = np.asarray(zs)
-    return np.abs(zs[1:] - zs[:-1]) / np.abs(zs[:-1] + np.conj(zs[1:]))
+def _dot(a, b) -> np.ndarray:
+    """<a_n, b_n> = sum a_n conj(b_n), row by row."""
+    return np.einsum("ij,ij->i", a, np.conj(b))
+
+
+def _norm2(a) -> np.ndarray:  # ||a_n||^2, row by row
+    return (a.real**2 + a.imag**2).sum(axis=1)
+
+
+def step_series_siegel(P) -> np.ndarray:
+    """d(p_n, p_{n+1}) along a Siegel orbit, free of cancellation.
+
+    With A = Re z - ||w||^2 at p_n and u = dz - 2<dw, w>, the cross term is
+    2A + conj(u) and |cross|^2 - 4 A A' = |u|^2 + 4 A ||dw||^2, so
+    d = hypot(|u|, 2 sqrt(A ||dw||^2)) / |2A + u|; N = 1 is the half-plane.
+    """
+    P = _rows(P)
+    z, w = P[:, 0], P[:-1, 1:]
+    dz = z[1:] - z[:-1]
+    if P.shape[1] == 1:  # the general formula with dw = 0, bit for bit
+        return np.abs(dz) / np.abs(2.0 * z.real[:-1] + dz)
+    dw = P[1:, 1:] - w
+    a = np.maximum(z.real[:-1] - _norm2(w), 0.0)
+    u = dz - 2.0 * _dot(dw, w)
+    # sqrt(A) sqrt(||dw||^2), not sqrt(A ||dw||^2): the product overflows first
+    return np.hypot(np.abs(u), 2.0 * np.sqrt(a) * np.sqrt(_norm2(dw))) / np.abs(2.0 * a + u)
+
+
+def step_series_ball(P) -> np.ndarray:
+    """d(Z_n, Z_{n+1}) along a ball orbit, free of cancellation.
+
+    With D = Z_{n+1} - Z_n, m = 1 - ||Z_n||^2 and v = <D, Z_n>, 1 - <Z_n, Z_{n+1}>
+    is m - conj(v) and d^2 = (m ||D||^2 + |v|^2) / |m - v|^2; N = 1 is the disk.
+    """
+    P = _rows(P)
+    Z, D = P[:-1], P[1:] - P[:-1]
+    m = np.maximum(1.0 - _norm2(Z), 0.0)
+    v = _dot(D, Z)
+    return np.sqrt(m * _norm2(D) + np.abs(v) ** 2) / np.abs(m - v)
 
 
 def _siegel_parts(P):
-    P = np.atleast_2d(np.asarray(P))
+    """z, ||w||^2, the margin Re z - ||w||^2, |z + 1|, 1 - ||Z||^2 and ||Z|| (Z the ball image)."""
     z = P[:, 0]
-    w = P[:, 1:]
-    wn2 = np.sum(np.abs(w) ** 2, axis=1).real
-    return z, w, wn2
-
-
-def step_series_siegel(P: np.ndarray) -> np.ndarray:
-    z, w, wn2 = _siegel_parts(P)
+    wn2 = np.sum(np.abs(P[:, 1:]) ** 2, axis=1).real
     margin = z.real - wn2
-    cross = z[:-1] + np.conj(z[1:]) - 2.0 * np.sum(w[:-1] * np.conj(w[1:]), axis=1)
-    d2 = 1.0 - 4.0 * margin[:-1] * margin[1:] / np.abs(cross) ** 2
-    return np.sqrt(np.clip(d2, 0.0, 1.0))
+    abs_zp1 = np.abs(z + 1.0)
+    one_minus_sq = 4.0 * margin / abs_zp1**2
+    return z, wn2, margin, abs_zp1, one_minus_sq, np.sqrt(np.clip(1.0 - one_minus_sq, 0.0, None))
 
 
-def step_series_ball(P: np.ndarray) -> np.ndarray:
-    P = np.atleast_2d(np.asarray(P))
-    nrm2 = np.sum(np.abs(P) ** 2, axis=1).real
-    ip = np.sum(P[:-1] * np.conj(P[1:]), axis=1)
-    d2 = 1.0 - (1.0 - nrm2[:-1]) * (1.0 - nrm2[1:]) / np.abs(1.0 - ip) ** 2
-    return np.sqrt(np.clip(d2, 0.0, 1.0))
-
-
-def boundary_gap_series_siegel(P: np.ndarray) -> np.ndarray:
+def boundary_gap_series_siegel(P) -> np.ndarray:
     """1 - ||ball image|| computed without cancellation."""
-    z, _, wn2 = _siegel_parts(P)
-    one_minus_sq = 4.0 * (z.real - wn2) / np.abs(z + 1.0) ** 2
-    nrm = np.sqrt(np.clip(1.0 - one_minus_sq, 0.0, None))
+    one_minus_sq, nrm = _siegel_parts(_rows(P))[4:]  # the rest is freed at once
     return one_minus_sq / (1.0 + nrm)
 
 
-def boundary_gap_series_ball(P: np.ndarray) -> np.ndarray:
-    P = np.atleast_2d(np.asarray(P))
+def _ball_gap(P) -> np.ndarray:
     return 1.0 - np.sqrt(np.sum(np.abs(P) ** 2, axis=1).real)
 
 
-# Siegel-native approach quotients; the vertex is implicitly e1 = Cayley(inf).
+def boundary_gap_series_ball(P) -> np.ndarray:
+    return _ball_gap(_rows(P))
 
 
-def special_ratio_series_siegel(P: np.ndarray) -> np.ndarray:
-    z, _, wn2 = _siegel_parts(P)
-    return wn2 / z.real
+def approach_series_siegel(P) -> tuple:
+    """(special, koranyi, nt, angle, euclid_nt, boundary_dist) at the vertex e1 = Cayley(infinity).
+
+    The ball quotients of the Cayley image, by the identities above, from one _siegel_parts.
+    """
+    z, wn2, margin, abs_zp1, _, nrm = _siegel_parts(_rows(P))
+    root = np.sqrt(1.0 + wn2)
+    return (
+        wn2 / z.real,
+        abs_zp1 * (1.0 + nrm) / (2.0 * margin),
+        abs_zp1 * (1.0 + np.abs(z - 1.0) / abs_zp1) / (2.0 * z.real),  # |z1| = |z - 1| / |z + 1|
+        np.angle(2.0 / (z + 1.0)),
+        root * abs_zp1 * (1.0 + nrm) / (2.0 * margin),
+        2.0 * root / abs_zp1,  # ||Z - e1||
+    )
 
 
-def koranyi_series_siegel(P: np.ndarray) -> np.ndarray:
-    z, _, wn2 = _siegel_parts(P)
-    margin = z.real - wn2
-    one_minus_sq = 4.0 * margin / np.abs(z + 1.0) ** 2
-    nrm = np.sqrt(np.clip(1.0 - one_minus_sq, 0.0, None))
-    return np.abs(z + 1.0) * (1.0 + nrm) / (2.0 * margin)
-
-
-def nt_quotient_series_siegel(P: np.ndarray) -> np.ndarray:
-    z, _, _ = _siegel_parts(P)
-    mod_z1 = np.abs(z - 1.0) / np.abs(z + 1.0)
-    return np.abs(z + 1.0) * (1.0 + mod_z1) / (2.0 * z.real)
-
-
-def tangency_angle_series_siegel(P: np.ndarray) -> np.ndarray:
-    z, _, _ = _siegel_parts(P)
-    return np.angle(2.0 / (z + 1.0))
-
-
-def euclid_nt_series_siegel(P: np.ndarray) -> np.ndarray:
-    """||Z - e1|| / (1 - ||Z||) in ball coordinates, via Siegel identities."""
-    z, _, wn2 = _siegel_parts(P)
-    margin = z.real - wn2
-    one_minus_sq = 4.0 * margin / np.abs(z + 1.0) ** 2
-    nrm = np.sqrt(np.clip(1.0 - one_minus_sq, 0.0, None))
-    return np.sqrt(1.0 + wn2) * np.abs(z + 1.0) * (1.0 + nrm) / (2.0 * margin)
-
-
-def boundary_dist_series_siegel(P: np.ndarray) -> np.ndarray:
-    """Euclidean distance ||Z - e1|| of the ball image to the vertex."""
-    z, _, wn2 = _siegel_parts(P)
-    return 2.0 * np.sqrt(1.0 + wn2) / np.abs(z + 1.0)
-
-
-def radial_quotient_series_siegel(P: np.ndarray) -> np.ndarray:
+def radial_quotient_series_siegel(P) -> np.ndarray:
     """(1 - z1_{n+1}) / (1 - z1_n) = (z_n + 1)/(z_{n+1} + 1)."""
-    z = np.atleast_2d(np.asarray(P))[:, 0]
+    z = _rows(P)[:, 0]
     return (z[:-1] + 1.0) / (z[1:] + 1.0)
 
 
-# ball-native versions, general vertex X
+def approach_series_ball(P, X) -> tuple:
+    """(special, koranyi, nt, angle, euclid_nt, boundary_dist) at the vertex X, in one pass.
 
-
-def _ball_projections(P, X):
-    P = np.atleast_2d(np.asarray(P))
+    With t = <Z, X>: ||Z - tX||^2 / (1 - |t|^2), |1 - t| / (1 - ||Z||), |1 - t| / (1 - |t|),
+    arg(1 - t), ||Z - X|| / (1 - ||Z||) and ||Z - X||.
+    """
+    P = _rows(P)
     x = np.asarray(X, np.complex128).reshape(-1)
-    t = P @ np.conj(x)  # <Z_n, X>
-    return P, x, t
-
-
-def special_ratio_series_ball(P, X) -> np.ndarray:
-    P, x, t = _ball_projections(P, X)
-    orth = P - t[:, None] * x[None, :]
-    return np.sum(np.abs(orth) ** 2, axis=1).real / (1.0 - np.abs(t) ** 2)
-
-
-def koranyi_series_ball(P, X) -> np.ndarray:
-    P, _, t = _ball_projections(P, X)
-    return np.abs(1.0 - t) / (1.0 - np.sqrt(np.sum(np.abs(P) ** 2, axis=1).real))
-
-
-def nt_quotient_series_ball(P, X) -> np.ndarray:
-    _, _, t = _ball_projections(P, X)
-    return np.abs(1.0 - t) / (1.0 - np.abs(t))
-
-
-def tangency_angle_series_ball(P, X) -> np.ndarray:
-    _, _, t = _ball_projections(P, X)
-    return np.angle(1.0 - t)
-
-
-def euclid_nt_series_ball(P, X) -> np.ndarray:
-    P, x, _ = _ball_projections(P, X)
+    t = P @ np.conj(x)
+    abs_t = np.abs(t)
+    abs_1mt = np.abs(1.0 - t)
+    gap = _ball_gap(P)
     dist = np.linalg.norm(P - x[None, :], axis=1)
-    return dist / (1.0 - np.sqrt(np.sum(np.abs(P) ** 2, axis=1).real))
-
-
-def boundary_dist_series_ball(P, X) -> np.ndarray:
-    P, x, _ = _ball_projections(P, X)
-    return np.linalg.norm(P - x[None, :], axis=1)
+    return (
+        np.sum(np.abs(P - t[:, None] * x[None, :]) ** 2, axis=1).real / (1.0 - abs_t**2),
+        abs_1mt / gap,
+        abs_1mt / (1.0 - abs_t),
+        np.angle(1.0 - t),
+        dist / gap,
+        dist,
+    )
 
 
 def radial_quotient_series_ball(P, X) -> np.ndarray:
-    _, _, t = _ball_projections(P, X)
+    t = _rows(P) @ np.conj(np.asarray(X, np.complex128).reshape(-1))
     denom = 1.0 - t[:-1]
     if np.any(denom == 0.0):
         idx = int(np.nonzero(denom == 0.0)[0][0])
@@ -546,21 +502,19 @@ class Model:
         return pair(p)
 
     def pdist(self, p, q) -> float:
-        """The pseudo-hyperbolic distance of two points of the model."""
-        if self.planar:
-            return (pdist_halfplane if self.unbounded else pdist_disk)(p, q)
-        return (pdist_siegel if self.unbounded else pdist_ball)(p, q)
+        """The pseudo-hyperbolic distance of two points: the step of the orbit (p, q)."""
+        p, q = _coords(self.name, p), _coords(self.name, q)
+        if np.size(p) != np.size(q):
+            raise DomainError("dimension mismatch")
+        return float(self.step_series(np.array([p, q]))[0])
 
     def step_series(self, pts) -> np.ndarray:
-        """d(z_n, z_{n+1}) along an orbit of the model."""
-        if self.planar:  # not yet computed as the N = 1 case of the ball/Siegel series
-            return (step_series_halfplane if self.unbounded else step_series_disk)(pts)
+        """d(z_n, z_{n+1}) along an orbit of the model; planar orbits are the N = 1 case."""
         return (step_series_siegel if self.unbounded else step_series_ball)(pts)
 
     def gap_series(self, pts) -> np.ndarray:
         """1 - ||Z_n|| along an orbit of the model; planar orbits are the N = 1 case."""
-        rows = np.reshape(pts, (len(pts), -1))
-        return (boundary_gap_series_siegel if self.unbounded else boundary_gap_series_ball)(rows)
+        return (boundary_gap_series_siegel if self.unbounded else boundary_gap_series_ball)(pts)
 
 
 class _Table(dict):

@@ -204,7 +204,7 @@ def test_criterion_08_lemma_flag_logic(harness_run):
 def test_criterion_09_figure_reproduction(tmp_path):
     # tangential case z + i: angle of 1 - z_n in the disk tends to -pi/2
     orb = dynamics.iterate(maps.HalfplaneAffine(1.0, 1j), 1.0, 10_000)
-    angles = g.tangency_angle_series_siegel(orb.points[:, None])
+    angles = g.approach_series_siegel(orb.points)[3]
     ok = abs(angles[-1] - (-np.pi / 2.0)) < 0.05
 
     # radial case z + 1: the plotted disk points are real

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -160,3 +162,19 @@ def test_run_grid_steps_translations_in_blocks(monkeypatch):
     gaps = np.diff((0,) + _GRID_CPS)
     assert len(calls) == int(np.sum(-(-gaps // 256))) + len(_GRID_CPS)
     assert all(np.shape(z) == (26,) for z in calls)
+
+
+@pytest.mark.parametrize("spec, checkpoints", [
+    (maps.HalfplaneAffine(2.0, 1.0), (2000,)),  # the per-step calls overflow
+    (maps.HalfplaneAffine(1.0, 1e306), (179, 180)),  # the checkpoint calls overflow
+])
+def test_run_grid_overflows_without_warnings(spec, checkpoints):
+    grid = conjugation.default_grid()
+    ref, _ = reference_run_grid(spec, grid, 1.0, checkpoints)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        samples, cps = conjugation._run_grid(spec, grid, 1.0, checkpoints)
+    assert cps == checkpoints
+    for n in cps:
+        assert _sample_bytes(samples[n]) == _sample_bytes(ref[n])
+        assert not np.isfinite(samples[n][1]).all()

@@ -252,7 +252,7 @@ def test_step_series_match_pointwise_metric():
     rng = np.random.default_rng(11)
     zs = np.exp(rng.uniform(-1, 3, 30)) + 1j * rng.normal(0, 2, 30)
     want = [g.pdist_halfplane(zs[i], zs[i + 1]) for i in range(29)]
-    assert np.allclose(g.step_series_halfplane(zs), want, atol=1e-14)
+    assert np.allclose(g.step_series_siegel(zs), want, atol=1e-14)
 
     P = rand_siegel(rng, count=30)
     want = [g.pdist_siegel(P[i], P[i + 1]) for i in range(29)]
@@ -268,18 +268,12 @@ def test_siegel_series_match_ball_definitions():
     P = rand_siegel(rng, count=40)
     B = g.siegel_to_ball_array(P)
     e1 = np.array([1.0, 0.0], np.complex128)
-    assert np.allclose(
-        g.special_ratio_series_siegel(P), g.special_ratio_series_ball(B, e1), atol=1e-11
-    )
-    assert np.allclose(
-        g.koranyi_series_siegel(P), g.koranyi_series_ball(B, e1), rtol=1e-9
-    )
-    assert np.allclose(
-        g.nt_quotient_series_siegel(P), g.nt_quotient_series_ball(B, e1), rtol=1e-9
-    )
-    assert np.allclose(
-        g.tangency_angle_series_siegel(P), g.tangency_angle_series_ball(B, e1), atol=1e-11
-    )
+    special, koranyi, nt, angle, _, _ = g.approach_series_siegel(P)
+    special_b, koranyi_b, nt_b, angle_b, _, _ = g.approach_series_ball(B, e1)
+    assert np.allclose(special, special_b, atol=1e-11)
+    assert np.allclose(koranyi, koranyi_b, rtol=1e-9)
+    assert np.allclose(nt, nt_b, rtol=1e-9)
+    assert np.allclose(angle, angle_b, atol=1e-11)
     assert np.allclose(
         g.radial_quotient_series_siegel(P), g.radial_quotient_series_ball(B, e1), rtol=1e-11
     )
@@ -289,16 +283,11 @@ def test_pointwise_quotients_match_series():
     rng = np.random.default_rng(13)
     B = rand_ball(rng, count=20)
     e1 = np.array([1.0, 0.0], np.complex128)
+    special, koranyi, nt, _, _, _ = g.approach_series_ball(B, e1)
     for i in range(20):
-        assert g.koranyi_quotient(B[i], e1) == pytest.approx(
-            g.koranyi_series_ball(B, e1)[i], rel=1e-12
-        )
-        assert g.special_ratio(B[i], e1) == pytest.approx(
-            g.special_ratio_series_ball(B, e1)[i], abs=1e-12
-        )
-        assert g.projection_nt_quotient(B[i], e1) == pytest.approx(
-            g.nt_quotient_series_ball(B, e1)[i], rel=1e-12
-        )
+        assert g.koranyi_quotient(B[i], e1) == pytest.approx(koranyi[i], rel=1e-12)
+        assert g.special_ratio(B[i], e1) == pytest.approx(special[i], abs=1e-12)
+        assert g.projection_nt_quotient(B[i], e1) == pytest.approx(nt[i], rel=1e-12)
 
 
 def test_special_ratio_zero_on_axis():
