@@ -328,7 +328,13 @@ def _dot(a, b) -> np.ndarray:
     return np.einsum("ij,ij->i", a, np.conj(b))
 
 
-def _norm2(a) -> np.ndarray:  # ||a_n||^2, row by row
+def _norm2(a) -> np.ndarray:
+    """||a_n||^2, row by row, for the steps.
+
+    Squaring re and im rounds once less than squaring np.abs, which matters
+    where A = Re z - ||w||^2 cancels.  The approach and gap series keep their
+    np.sum(np.abs(a) ** 2) form, so that their outputs stay bit for bit.
+    """
     return (a.real**2 + a.imag**2).sum(axis=1)
 
 
@@ -342,8 +348,6 @@ def step_series_siegel(P) -> np.ndarray:
     P = _rows(P)
     z, w = P[:, 0], P[:-1, 1:]
     dz = z[1:] - z[:-1]
-    if P.shape[1] == 1:  # the general formula with dw = 0, bit for bit
-        return np.abs(dz) / np.abs(2.0 * z.real[:-1] + dz)
     dw = P[1:, 1:] - w
     a = np.maximum(z.real[:-1] - _norm2(w), 0.0)
     u = dz - 2.0 * _dot(dw, w)
@@ -367,7 +371,7 @@ def step_series_ball(P) -> np.ndarray:
 def _siegel_parts(P):
     """z, ||w||^2, the margin Re z - ||w||^2, |z + 1|, 1 - ||Z||^2 and ||Z|| (Z the ball image)."""
     z = P[:, 0]
-    wn2 = np.sum(np.abs(P[:, 1:]) ** 2, axis=1).real
+    wn2 = np.sum(np.abs(P[:, 1:]) ** 2, axis=1)
     margin = z.real - wn2
     abs_zp1 = np.abs(z + 1.0)
     one_minus_sq = 4.0 * margin / abs_zp1**2
@@ -380,12 +384,8 @@ def boundary_gap_series_siegel(P) -> np.ndarray:
     return one_minus_sq / (1.0 + nrm)
 
 
-def _ball_gap(P) -> np.ndarray:
-    return 1.0 - np.sqrt(np.sum(np.abs(P) ** 2, axis=1).real)
-
-
 def boundary_gap_series_ball(P) -> np.ndarray:
-    return _ball_gap(_rows(P))
+    return 1.0 - np.sqrt(np.sum(np.abs(_rows(P)) ** 2, axis=1))
 
 
 def approach_series_siegel(P) -> tuple:
@@ -422,10 +422,10 @@ def approach_series_ball(P, X) -> tuple:
     t = P @ np.conj(x)
     abs_t = np.abs(t)
     abs_1mt = np.abs(1.0 - t)
-    gap = _ball_gap(P)
+    gap = boundary_gap_series_ball(P)
     dist = np.linalg.norm(P - x[None, :], axis=1)
     return (
-        np.sum(np.abs(P - t[:, None] * x[None, :]) ** 2, axis=1).real / (1.0 - abs_t**2),
+        np.sum(np.abs(P - t[:, None] * x[None, :]) ** 2, axis=1) / (1.0 - abs_t**2),
         abs_1mt / gap,
         abs_1mt / (1.0 - abs_t),
         np.angle(1.0 - t),

@@ -112,6 +112,47 @@ def test_bounded_steps_match_the_oracle_off_the_boundary(name):
     assert _check(model.partner if model.unbounded else model.name, ball, keep) >= 5
 
 
+def _random_pairs(model, rng, count=30, dim=2):
+    """count random points of the N = dim ball or Siegel half-plane, mostly far apart."""
+    v = rng.normal(size=(count, 2 * dim)).view(np.complex128)
+    if model == "ball":
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        return v * rng.uniform(0.0, 0.97, (count, 1)) ** (1.0 / (2 * dim))
+    w = v[:, 1:]
+    z = (np.sum(np.abs(w) ** 2, axis=1) + np.exp(rng.uniform(-1.0, 3.0, count))
+         + 1j * rng.normal(0.0, 3.0, count))
+    return np.concatenate((z[:, None], w), axis=1)
+
+
+@pytest.mark.parametrize("model", ["siegel", "ball"])
+def test_random_far_steps_match_the_oracle(model):
+    rows = _random_pairs(model, np.random.default_rng(11))
+    assert _check(model, rows) == len(rows) - 1
+
+
+def _oracle_quotients(Z, x):
+    """(special, koranyi, nt, angle) at the ball point Z and the vertex x, with 50 digits."""
+    Z, x = [_mpc(v) for v in Z], [_mpc(v) for v in x]
+    t = _ip(Z, x)
+    orth = [a - t * b for a, b in zip(Z, x)]
+    return (_ip(orth, orth).real / (1 - abs(t) ** 2),
+            abs(1 - t) / (1 - mpmath.sqrt(_ip(Z, Z).real)),
+            abs(1 - t) / (1 - abs(t)),
+            mpmath.arg(1 - t))
+
+
+def test_pointwise_quotients_match_the_oracle():
+    rng = np.random.default_rng(13)
+    B = _random_pairs("ball", rng, count=20)
+    vertices = [g.BoundaryPoint.e1(2).X, g.BoundaryPoint(rng.normal(size=4).view(np.complex128)).X]
+    quotients = (g.special_ratio, g.koranyi_quotient, g.projection_nt_quotient, g.tangency_angle)
+    for x in vertices:
+        for Z in B:
+            for f, want in zip(quotients, _oracle_quotients(Z, x)):
+                got = f(Z, x)
+                assert abs(got - want) <= RTOL * abs(want), (f.__name__, Z, x, got, want)
+
+
 def test_siegel_step_of_the_unit_translation_matches_its_closed_form():
     # z_n = 1 + n, w = 0: d(z_n, z_{n+1}) = 1 / |2 (1 + n) + 1| exactly
     for n in [0, 1, 10, 1e3, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10]:
