@@ -91,15 +91,17 @@ def _starts(cfg: dict, spec):
 
 
 def _budgets(cfg: dict, args) -> dynamics.Budgets:
-    default = dynamics.Budgets()
-    n_max = args.n_max or cfg.get("n_max", default.n_max)
+    """Budgets with the config's n_max (--n-max first) and the three tolerances it may set."""
     tol = cfg.get("tolerances", {})
-    return dynamics.Budgets(
-        n_max=int(n_max),
-        tol_c=float(tol.get("tol_c", default.tol_c)),
-        tol_dw=float(tol.get("tol_dw", default.tol_dw)),
-        tol_step=float(tol.get("tol_step", default.tol_step)),
-    )
+    n_max = args.n_max or cfg.get("n_max", dynamics.Budgets.n_max)
+    return dynamics.Budgets(n_max=int(n_max), **{
+        k: float(tol[k]) for k in ("tol_c", "tol_dw", "tol_step") if k in tol})
+
+
+def _first_orbit(cfg: dict, budgets: dynamics.Budgets):
+    """The orbit of the config's first start, with budgets.n_max steps."""
+    spec = _spec(cfg)
+    return dynamics.iterate(spec, _starts(cfg, spec)[0], budgets.n_max)
 
 
 def _orbit_rows(orbit, *series) -> tuple:
@@ -162,10 +164,7 @@ def cmd_classify(cfg, args) -> int:
 
 
 def cmd_orbit(cfg, args) -> int:
-    spec = _spec(cfg)
-    budgets = _budgets(cfg, args)
-    start = _starts(cfg, spec)[0]
-    orbit = dynamics.iterate(spec, start, budgets.n_max)
+    orbit = _first_orbit(cfg, _budgets(cfg, args))
     header, lines = _orbit_rows(orbit)
     _write_csv(os.path.join(args.out, "orbit.csv"), header, lines)
     print(f"orbit: {orbit.length} points, stop_reason={orbit.stop_reason}")
@@ -173,11 +172,9 @@ def cmd_orbit(cfg, args) -> int:
 
 
 def cmd_steps(cfg, args) -> int:
-    spec = _spec(cfg)
     budgets = _budgets(cfg, args)
-    start = _starts(cfg, spec)[0]
-    orbit = dynamics.iterate(spec, start, budgets.n_max)
-    st = dynamics.step_series(orbit, tol_step=budgets.tol_step)
+    orbit = _first_orbit(cfg, budgets)
+    st = dynamics.step_series(orbit, budgets)
     header, lines = _orbit_rows(orbit, st.s)
     _write_csv(os.path.join(args.out, "steps.csv"), header + ["s_n"], lines)
     print(f"verdict: {st.verdict}, d_inf≈{st.d_inf_estimate:.10g}")
@@ -185,10 +182,7 @@ def cmd_steps(cfg, args) -> int:
 
 
 def cmd_approach(cfg, args) -> int:
-    spec = _spec(cfg)
-    budgets = _budgets(cfg, args)
-    start = _starts(cfg, spec)[0]
-    orbit = dynamics.iterate(spec, start, budgets.n_max)
+    orbit = _first_orbit(cfg, _budgets(cfg, args))
     ap = diagnostics.approach_report(orbit)
     rq = diagnostics.radial_quotient_series(orbit)
     special, koranyi, nt = diagnostics._orbit_series(orbit, ap.X)[:3]
@@ -282,10 +276,7 @@ def cmd_probe(cfg, args) -> int:
 
 
 def cmd_plot(cfg, args) -> int:
-    spec = _spec(cfg)
-    budgets = _budgets(cfg, args)
-    start = _starts(cfg, spec)[0]
-    orbit = dynamics.iterate(spec, start, budgets.n_max)
+    orbit = _first_orbit(cfg, _budgets(cfg, args))
     disk_pts = plotting.orbit_disk_coords(orbit)
     popts = cfg.get("plot", {})
     svg = plotting.render_orbit_svg(

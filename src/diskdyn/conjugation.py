@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _BLOCK, Budgets, classify, iterate, step_series
+from .dynamics import _BLOCK, _PRECHECK_N, _require_parabolic, iterate, step_series
 from .errors import DegenerateInputError, PreconditionError
 
 __all__ = [
@@ -72,13 +72,10 @@ class ConjugationResult:
         )
 
 
-def _require_parabolic(spec, precheck_n: int):
+def _precheck(spec, precheck_n: int) -> None:
     if spec.model != "halfplane":
         raise PreconditionError("conjugations are defined for half-plane maps")
-    rep = classify(spec, budgets=Budgets(n_max=precheck_n))
-    if rep.type != "parabolic":
-        raise PreconditionError(f"map classifies as {rep.type}, need parabolic")
-    return rep
+    _require_parabolic(spec, precheck_n)
 
 
 # an overflowing grid point turns inf, then NaN, silently, as in the block method
@@ -124,10 +121,10 @@ def pommerenke_normalized(
     basepoint: complex = 1.0 + 0.0j,
     grid: np.ndarray | None = None,
     checkpoints=DEFAULT_CHECKPOINTS,
-    precheck_n: int = 20_000,
+    precheck_n: int = _PRECHECK_N,
 ) -> ConjugationResult:
     """psi_n(z) = (f_n(z) - i y_n)/x_n with z_n = f_n(basepoint)."""
-    _require_parabolic(spec, precheck_n)
+    _precheck(spec, precheck_n)
     grid = default_grid() if grid is None else np.asarray(grid, np.complex128)
     samples, cps = _run_grid(spec, grid, basepoint, checkpoints)
     psi = {}
@@ -162,10 +159,10 @@ def baker_pommerenke_normalized(
     basepoint: complex = 1.0 + 0.0j,
     grid: np.ndarray | None = None,
     checkpoints=DEFAULT_CHECKPOINTS,
-    precheck_n: int = 20_000,
+    precheck_n: int = _PRECHECK_N,
 ) -> ConjugationResult:
     """psi_n(z) = (f_n(z) - z_n)/(z_{n+1} - z_n); Abel residual |psi(f) - psi - 1|."""
-    _require_parabolic(spec, precheck_n)
+    _precheck(spec, precheck_n)
     verdict = step_series(iterate(spec, basepoint, precheck_n)).verdict
     if verdict != "zero_step":
         raise PreconditionError(

@@ -3,7 +3,8 @@
 The asymptotic definitions (special, restricted, Koranyi, non-tangential) are
 turned into tail statistics over finite orbits: a quotient is "-> 0" when its
 tail mean drops below ``tol_ratio`` and "bounded" when its tail maximum stays
-below ``m_cap``.  The thresholds are explicit arguments, not claims of proof.
+below ``m_cap``.  The thresholds are ``Budgets`` fields or the named constants
+below, not claims of proof.
 
 Orbits native to the Siegel model are analyzed in Siegel coordinates through
 the exact identities in :mod:`diskdyn.geometry`; ball-native orbits use the
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import geometry, maps
 from .dynamics import (
-    Budgets, Orbit, _fit_starts, classify, iterate, step_series,
+    _PRECHECK_N, Budgets, Orbit, _fit_starts, _require_parabolic, classify, iterate, step_series,
 )
 from .errors import PreconditionError
 from .geometry import MODELS, BoundaryPoint
@@ -34,6 +35,11 @@ __all__ = [
     "conjecture_probe",
     "default_harness_suite",
 ]
+
+# the share of the approach and radial series that their tail statistics read
+_TAIL_FRACTION = 0.2
+# a restricted harness row fails when the radial quotient's tail mean is this far from 1
+_TOL_RADIAL = 1e-2
 
 
 @dataclass(frozen=True)
@@ -91,30 +97,25 @@ def _resolve_vertex(orbit: Orbit, X) -> BoundaryPoint:
     return X
 
 
-def approach_report(
-    orbit: Orbit,
-    X=None,
-    tail_fraction: float = 0.2,
-    tol_ratio: float = 1e-2,
-    m_cap: float = 1e3,
-) -> ApproachReport:
-    """Koranyi / special / restricted flags from orbit tail statistics."""
+def approach_report(orbit: Orbit, X=None, budgets: Budgets | None = None) -> ApproachReport:
+    """Koranyi / special / restricted flags: tail statistics against tol_ratio and m_cap."""
+    budgets = budgets or Budgets()
     X = _resolve_vertex(orbit, X)
     special, koranyi, nt, angle, euclid, bdist = _orbit_series(orbit, X)
     n = special.size
     if n < 10:
         raise PreconditionError("orbit too short for approach statistics")
-    k = max(2, int(round(n * tail_fraction)))
+    k = max(2, int(round(n * _TAIL_FRACTION)))
     if not (bdist[-1] < bdist[-k] or bdist[-1] < 1e-9) or bdist[-1] > 0.5:
         raise PreconditionError("orbit does not converge to the vertex X")
     ko_sup = float(koranyi[-k:].max())
     sp_mean = float(special[-k:].mean())
     nt_max = float(nt[-k:].max())
     eu_max = float(euclid[-k:].max())
-    is_special = sp_mean < tol_ratio
-    is_restricted = is_special and nt_max < m_cap
-    in_koranyi = ko_sup < m_cap
-    is_nontangential = eu_max < m_cap
+    is_special = sp_mean < budgets.tol_ratio
+    is_restricted = is_special and nt_max < budgets.m_cap
+    in_koranyi = ko_sup < budgets.m_cap
+    is_nontangential = eu_max < budgets.m_cap
     return ApproachReport(
         X,
         ko_sup,
@@ -196,20 +197,15 @@ def _spec_label(spec) -> str:
 
 
 def theorem_harness(
-    suite,
-    budgets: Budgets | None = None,
-    classify_n_max: int = 20_000,
-    tol_radial: float = 1e-2,
-    tail_fraction: float = 0.2,
-    tol_ratio: float = 1e-2,
-    m_cap: float = 1e3,
+    suite, budgets: Budgets | None = None, classify_n_max: int = _PRECHECK_N
 ) -> HarnessReport:
     """Verify restricted => zero step on a suite of (spec, start) cases.
 
     A row passes when NOT restricted OR the step verdict is zero_step, with
     two extra checks: non-zero-step rows must be non-restricted, and
-    restricted rows must have radial quotient within tol_radial of 1.
+    restricted rows must have radial quotient within _TOL_RADIAL of 1.
     Inconclusive step verdicts fail the row; classification failures skip it.
+    Specs are classified at classify_n_max steps, rows run on budgets.
     """
     budgets = budgets or Budgets()
     rows = []
@@ -226,32 +222,25 @@ def theorem_harness(
             )
             continue
         orbit = iterate(spec, start, budgets.n_max)
-        ap = approach_report(orbit, tail_fraction=tail_fraction,
-                             tol_ratio=tol_ratio, m_cap=m_cap)
-        st = step_series(orbit, tail_fraction=budgets.tail_fraction, tol_step=budgets.tol_step)
+        ap = approach_report(orbit, budgets=budgets)
+        st = step_series(orbit, budgets)
         rq = radial_quotient_series(orbit)
-        k = max(1, int(round(rq.size * tail_fraction)))
+        k = max(1, int(round(rq.size * _TAIL_FRACTION)))
         radial_dev = float(np.mean(np.abs(rq[-k:] - 1.0)))
-        notes = []
-        ok = True
-        if st.verdict == "inconclusive":
-            ok = False
-            notes.append("step verdict inconclusive; raise the budget")
-        if ap.is_restricted and st.verdict != "zero_step":
-            ok = False
-            notes.append("THEOREM VIOLATION: restricted but not zero step")
-        if st.verdict == "nonzero_step" and ap.is_restricted:
-            ok = False
-            notes.append("contrapositive violation: non-zero step but restricted")
-        if ap.is_restricted and radial_dev >= tol_radial:
-            ok = False
-            notes.append(f"radial quotient deviates by {radial_dev:.3g}")
-        if not ap.implications_ok():
-            ok = False
-            notes.append("approach flag logic violates the implication lemma")
+        checks = [  # (whether the row fails the check, its note)
+            (st.verdict == "inconclusive", "step verdict inconclusive; raise the budget"),
+            (ap.is_restricted and st.verdict != "zero_step",
+             "THEOREM VIOLATION: restricted but not zero step"),
+            (st.verdict == "nonzero_step" and ap.is_restricted,
+             "contrapositive violation: non-zero step but restricted"),
+            (ap.is_restricted and radial_dev >= _TOL_RADIAL,
+             f"radial quotient deviates by {radial_dev:.3g}"),
+            (not ap.implications_ok(), "approach flag logic violates the implication lemma"),
+        ]
+        notes = [note for failed, note in checks if failed]
         rows.append(
             HarnessRow(label, start, rep.type, ap.is_restricted, st.verdict,
-                       float(st.s[-1]), radial_dev, ap, ok, False, "; ".join(notes))
+                       float(st.s[-1]), radial_dev, ap, not notes, False, "; ".join(notes))
         )
     return HarnessReport(tuple(rows))
 
@@ -322,14 +311,11 @@ def conjecture_probe(spec, starts=None, budgets: Budgets | None = None) -> Probe
         starts = _fit_starts(spec, [model.point(s) for s in model.starts + model.probe_starts])
     if len(starts) < 5:
         raise PreconditionError("the probe wants at least 5 starts")
-    rep = classify(spec, budgets=Budgets(n_max=20_000))
-    if rep.type != "parabolic":
-        raise PreconditionError(f"map classifies as {rep.type}, need parabolic")
+    _require_parabolic(spec, _PRECHECK_N)
     verdicts = []
     dinfs = []
     for s in starts:
-        st = step_series(iterate(spec, s, budgets.n_max),
-                         tail_fraction=budgets.tail_fraction, tol_step=budgets.tol_step)
+        st = step_series(iterate(spec, s, budgets.n_max), budgets)
         verdicts.append(st.verdict)
         dinfs.append(st.d_inf_estimate)
     if "inconclusive" in verdicts:

@@ -33,6 +33,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Budgets:
+    """The orbit budget and every threshold a verdict reads; nothing else sets them.
+
+    n_max: orbit length.  tail_fraction: step_series, estimate_multiplier.
+    tol_c: classify's type.  tol_dw: classify, estimate_denjoy_wolff.
+    tol_step: step_series.  tol_ratio, m_cap: approach_report's flags.
+    """
+
     n_max: int = 100_000
     tail_fraction: float = 0.1
     tol_c: float = 1e-3
@@ -40,6 +47,12 @@ class Budgets:
     # like 1/n, so the agreement tolerance cannot be much below 1e-4 at n ~ 1e4
     tol_dw: float = 1e-4
     tol_step: float = 1e-3
+    tol_ratio: float = 1e-2
+    m_cap: float = 1e3
+
+
+# the classify budget of the parabolic prechecks of conjugations, probes and harness specs
+_PRECHECK_N = 20_000
 
 
 @dataclass(frozen=True)
@@ -245,26 +258,28 @@ def _check_step(model: Model, policy: StoppingPolicy, nxt, cur, k: int):
     return None, True
 
 
-def step_series(orbit: Orbit, tail_fraction: float = 0.1, tol_step: float = 1e-3) -> StepSeries:
+def step_series(orbit: Orbit, budgets: Budgets | None = None) -> StepSeries:
     """s_n = d(z_n, z_{n+1}) with a finite-sample zero-step verdict.
 
+    With the tail the last budgets.tail_fraction of s and tol_step from budgets:
     zero_step:    tail mean < tol_step and the series lost at least half its
                   mean between the first and second halves;
     nonzero_step: tail mean > 10 tol_step and the two halves agree to 1%.
     Anything else is inconclusive.
     """
+    budgets = budgets or Budgets()
     if orbit.length < 2:
         raise PreconditionError("orbit too short for a step series")
     s = MODELS[orbit.model].step_series(orbit.points)
     n = s.size
-    tail = s[-max(1, int(round(n * tail_fraction))):]
+    tail = s[-max(1, int(round(n * budgets.tail_fraction))):]
     d_inf = float(tail.mean())
     half1 = float(s[: n // 2].mean()) if n >= 2 else float(s.mean())
     half2 = float(s[n // 2 :].mean())
     decrease = 1.0 - half2 / half1 if half1 > 0.0 else 1.0
-    if d_inf < tol_step and (half1 == 0.0 or half2 <= 0.5 * half1):
+    if d_inf < budgets.tol_step and (half1 == 0.0 or half2 <= 0.5 * half1):
         verdict = "zero_step"
-    elif d_inf > 10.0 * tol_step and half1 > 0.0 and abs(half2 - half1) <= 1e-2 * half1:
+    elif d_inf > 10.0 * budgets.tol_step and half1 > 0.0 and abs(half2 - half1) <= 1e-2 * half1:
         verdict = "nonzero_step"
     else:
         verdict = "inconclusive"
@@ -276,15 +291,17 @@ def step_series(orbit: Orbit, tail_fraction: float = 0.1, tol_step: float = 1e-3
 # Denjoy-Wolff point and multiplier
 
 
-def estimate_denjoy_wolff(spec, starts, n_max: int = 100_000, tol_dw: float = 1e-6):
+def estimate_denjoy_wolff(spec, starts, budgets: Budgets | None = None):
     """Common orbit limit across starts, as (point, 'interior'|'boundary').
 
     The point is returned in disk/ball closure coordinates (length-N complex
-    array).  Raises EstimationError when the starts disagree.
+    array).  Raises EstimationError when the starts disagree by more than tol_dw.
     """
+    budgets = budgets or Budgets()
     if len(starts) < 2:
         raise PreconditionError("need at least 2 distinct starts")
-    return _common_limit(MODELS[spec.model], iterate_batch(spec, starts, n_max), tol_dw)
+    orbits = iterate_batch(spec, starts, budgets.n_max)
+    return _common_limit(MODELS[spec.model], orbits, budgets.tol_dw)
 
 
 def _common_limit(model: Model, orbits, tol_dw: float):
@@ -317,8 +334,9 @@ class MultiplierEstimate:
     clipped: bool
 
 
-def estimate_multiplier(spec, orbit: Orbit, tail_fraction: float = 0.1) -> MultiplierEstimate:
-    """liminf of (1 - ||f(Z_n)||)/(1 - ||Z_n||) via a running tail minimum."""
+def estimate_multiplier(spec, orbit: Orbit, budgets: Budgets | None = None) -> MultiplierEstimate:
+    """liminf of (1 - ||f(Z_n)||)/(1 - ||Z_n||), as the minimum of the ratios' tail."""
+    budgets = budgets or Budgets()
     if orbit.stop_reason == "interior_fixed_point":
         raise PreconditionError("multiplier is defined for boundary Denjoy-Wolff points")
     gaps = MODELS[orbit.model].gap_series(orbit.points)
@@ -329,7 +347,7 @@ def estimate_multiplier(spec, orbit: Orbit, tail_fraction: float = 0.1) -> Multi
     if gaps.size < 3:
         raise PreconditionError("orbit too short for a multiplier estimate")
     ratios = gaps[1:] / gaps[:-1]
-    tail = ratios[-max(1, int(round(ratios.size * tail_fraction))):]
+    tail = ratios[-max(1, int(round(ratios.size * budgets.tail_fraction))):]
     raw = float(tail.min())
     return MultiplierEstimate(min(raw, 1.0), raw, raw > 1.0)
 
@@ -415,7 +433,7 @@ def classify(spec, starts=None, budgets: Budgets | None = None) -> Classificatio
 
     values = []
     for orb in orbits:
-        est = estimate_multiplier(spec, orb, budgets.tail_fraction)
+        est = estimate_multiplier(spec, orb, budgets)
         if est.clipped:
             notes.append(f"multiplier estimate {est.raw:.6g} clipped to 1")
         values.append(est.value)
@@ -430,3 +448,10 @@ def classify(spec, starts=None, budgets: Budgets | None = None) -> Classificatio
     return ClassificationReport(
         _native_boundary_point(model, p), "boundary", c, kind, tuple(notes)
     )
+
+
+def _require_parabolic(spec, n_max: int) -> None:
+    """Raise PreconditionError unless classify, at n_max steps, calls spec parabolic."""
+    rep = classify(spec, budgets=Budgets(n_max=n_max))
+    if rep.type != "parabolic":
+        raise PreconditionError(f"map classifies as {rep.type}, need parabolic")

@@ -83,7 +83,7 @@ def test_approach_flags_follow_their_statistics(name):
     caps = [1e3, ap.nt_tail_max, ap.koranyi_sup_tail, ap.euclid_nt_tail_max]
     for tol_ratio in tols + [np.nextafter(t, np.inf) for t in tols]:
         for m_cap in caps + [np.nextafter(c, np.inf) for c in caps]:
-            r = diagnostics.approach_report(orb, X, tol_ratio=tol_ratio, m_cap=m_cap)
+            r = diagnostics.approach_report(orb, X, Budgets(tol_ratio=tol_ratio, m_cap=m_cap))
             assert r.is_special == (r.special_ratio_tail_mean < tol_ratio)
             assert r.is_restricted == (r.is_special and r.nt_tail_max < m_cap)
             assert r.in_koranyi == (r.koranyi_sup_tail < m_cap)

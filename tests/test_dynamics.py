@@ -65,7 +65,7 @@ def test_step_series_decaying_oracle():
 def test_step_series_inconclusive_band():
     # tail mean inside (tol_step, 10 tol_step) with decay: neither verdict fires
     orb = dynamics.iterate(maps.HalfplaneAffine(1.0, 1j), 1.0, 500)
-    st = dynamics.step_series(orb, tol_step=0.1)
+    st = dynamics.step_series(orb, Budgets(tol_step=0.1))
     assert st.verdict == "inconclusive"
 
 
@@ -78,7 +78,7 @@ def test_step_series_needs_two_points():
 
 def test_estimate_denjoy_wolff_boundary():
     p, loc = dynamics.estimate_denjoy_wolff(
-        maps.HalfplaneAffine(1.0, 1.0), [1.0, 2.0 + 1j], n_max=20_000, tol_dw=1e-4
+        maps.HalfplaneAffine(1.0, 1.0), [1.0, 2.0 + 1j], Budgets(n_max=20_000, tol_dw=1e-4)
     )
     assert loc == "boundary"
     assert abs(p[0] - 1.0) < 1e-4  # disk coordinates of infinity
@@ -91,7 +91,8 @@ def test_estimate_denjoy_wolff_interior():
         def __call__(self, z):
             return 0.5 * z
 
-    p, loc = dynamics.estimate_denjoy_wolff(Shrink(), [0.3, -0.2 + 0.4j], n_max=10_000)
+    p, loc = dynamics.estimate_denjoy_wolff(Shrink(), [0.3, -0.2 + 0.4j],
+                                            Budgets(n_max=10_000, tol_dw=1e-6))
     assert loc == "interior"
     assert abs(p[0]) < 1e-10
 
@@ -100,7 +101,7 @@ def test_estimate_denjoy_wolff_disagreement():
     # rotation orbits stay on distinct circles
     rot = maps.DiskMoebius(0.0, 2.0)
     with pytest.raises(EstimationError):
-        dynamics.estimate_denjoy_wolff(rot, [0.3, 0.6], n_max=500)
+        dynamics.estimate_denjoy_wolff(rot, [0.3, 0.6], Budgets(n_max=500, tol_dw=1e-6))
 
 
 def test_multiplier_hyperbolic():
