@@ -329,11 +329,11 @@ def _dot(a, b) -> np.ndarray:
 
 
 def _norm2(a) -> np.ndarray:
-    """||a_n||^2, row by row, for the steps.
+    """||a_n||^2, row by row, for the steps and the Siegel approach and gap series.
 
     Squaring re and im rounds once less than squaring np.abs, which matters
-    where A = Re z - ||w||^2 cancels.  The approach and gap series keep their
-    np.sum(np.abs(a) ** 2) form, so that their outputs stay bit for bit.
+    where A = Re z - ||w||^2 cancels.  The ball series keep np.sum(np.abs(a) ** 2):
+    with it the ball gap's N = 1 case is the disk's 1 - |z| bit for bit.
     """
     return (a.real**2 + a.imag**2).sum(axis=1)
 
@@ -371,7 +371,7 @@ def step_series_ball(P) -> np.ndarray:
 def _siegel_parts(P):
     """z, ||w||^2, the margin Re z - ||w||^2, |z + 1|, 1 - ||Z||^2 and ||Z|| (Z the ball image)."""
     z = P[:, 0]
-    wn2 = np.sum(np.abs(P[:, 1:]) ** 2, axis=1)
+    wn2 = _norm2(P[:, 1:])
     margin = z.real - wn2
     abs_zp1 = np.abs(z + 1.0)
     one_minus_sq = 4.0 * margin / abs_zp1**2

@@ -1,3 +1,4 @@
+import inspect
 import warnings
 
 import numpy as np
@@ -102,6 +103,38 @@ def test_estimate_denjoy_wolff_disagreement():
     rot = maps.DiskMoebius(0.0, 2.0)
     with pytest.raises(EstimationError):
         dynamics.estimate_denjoy_wolff(rot, [0.3, 0.6], Budgets(n_max=500, tol_dw=1e-6))
+
+
+def test_estimate_denjoy_wolff_agrees_with_classify():
+    # both read tol_dw from Budgets; the default starts' limits lie 2.8e-6 apart
+    spec = maps.SiegelTranslation(1.0)
+    starts = dynamics._fit_starts(spec, dynamics.default_starts(spec.model))
+    p, loc = dynamics.estimate_denjoy_wolff(spec, starts)
+    rep = dynamics.classify(spec)
+    assert (loc, rep.dw_location, rep.type) == ("boundary", "boundary", "parabolic")
+    assert rep.dw_point.at_infinity
+    assert abs(p[0] - 1.0) < 1e-4 and np.linalg.norm(p[1:]) < 1e-4  # ball coordinates of infinity
+
+
+THRESHOLDS = {"tail_fraction", "tol_step", "tol_dw", "tol_c", "tol_ratio", "m_cap", "tol_radial"}
+
+
+def test_thresholds_are_set_only_in_budgets():
+    from diskdyn import cli, conjugation, plotting
+
+    found = []
+    for mod in (cli, conjugation, diagnostics, dynamics, geometry, maps, plotting):
+        for name, obj in vars(mod).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            members = [obj]
+            if inspect.isclass(obj):  # its public methods; Budgets is where thresholds live
+                members = [] if obj is Budgets else [
+                    getattr(m, "__func__", m) for n, m in vars(obj).items() if not n.startswith("_")]
+            found += [f"{mod.__name__}.{fn.__qualname__}({p})" for fn in members
+                      if inspect.isfunction(fn)
+                      for p in inspect.signature(fn).parameters if p in THRESHOLDS]
+    assert not found
 
 
 def test_multiplier_hyperbolic():

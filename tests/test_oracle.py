@@ -1,4 +1,4 @@
-"""The step series and the metric against a 50-digit evaluation of their definitions.
+"""The orbit series and the metric against a 50-digit evaluation of their definitions.
 
 The oracle reads the same stored doubles as the code under test (mpmath's mpf
 of a double is exact) and evaluates the definitional formula
@@ -7,7 +7,10 @@ of a double is exact) and evaluates the definitional formula
     ball / disk          1 - d^2 = (1 - ||Z||^2)(1 - ||W||^2) / |1 - <Z, W>|^2
 
 with 50 digits, so the cancellation that this form suffers in doubles costs
-the oracle nothing at these step sizes.
+the oracle nothing at these step sizes.  The gap, approach and radial series
+are the ball definitions at a vertex X, with t = <Z, X>; on a Siegel orbit the
+oracle takes them at X = e1 of the Cayley image, formed with 50 digits too.
+The multiplier estimate is the tail minimum of the gap ratios.
 """
 
 import warnings
@@ -17,6 +20,7 @@ import numpy as np
 import pytest
 
 from diskdyn import dynamics, geometry as g, maps
+from diskdyn.dynamics import Budgets
 
 mpmath.mp.dps = 50
 
@@ -130,15 +134,92 @@ def test_random_far_steps_match_the_oracle(model):
     assert _check(model, rows) == len(rows) - 1
 
 
-def _oracle_quotients(Z, x):
-    """(special, koranyi, nt, angle) at the ball point Z and the vertex x, with 50 digits."""
-    Z, x = [_mpc(v) for v in Z], [_mpc(v) for v in x]
+def _oracle_series(Z, x):
+    """t = <Z, X> and (special, koranyi, nt, angle, euclid_nt, boundary_dist, gap) at Z and X.
+
+    Z and x are mpc vectors: a ball point and a vertex.
+    """
     t = _ip(Z, x)
     orth = [a - t * b for a, b in zip(Z, x)]
-    return (_ip(orth, orth).real / (1 - abs(t) ** 2),
-            abs(1 - t) / (1 - mpmath.sqrt(_ip(Z, Z).real)),
-            abs(1 - t) / (1 - abs(t)),
-            mpmath.arg(1 - t))
+    gap = 1 - mpmath.sqrt(_ip(Z, Z).real)
+    dist = mpmath.sqrt(mpmath.fsum(abs(a - b) ** 2 for a, b in zip(Z, x)))
+    return t, (_ip(orth, orth).real / (1 - abs(t) ** 2), abs(1 - t) / gap,
+               abs(1 - t) / (1 - abs(t)), mpmath.arg(1 - t), dist / gap, dist, gap)
+
+
+def _oracle_quotients(Z, x):
+    """(special, koranyi, nt, angle) at the ball point Z and the vertex x, with 50 digits."""
+    return _oracle_series([_mpc(v) for v in Z], [_mpc(v) for v in x])[1][:4]
+
+
+def _cayley(p):
+    """The ball image ((z - 1)/(z + 1), 2w/(z + 1)) of a Siegel point, with 50 digits."""
+    z, *w = [_mpc(v) for v in p]
+    return [(z - 1) / (z + 1)] + [2 * v / (z + 1) for v in w]
+
+
+def _siegel_oracle(rows):
+    """Row -> (t, SERIES) along a Siegel orbit, at the vertex e1 of its Cayley image."""
+    e1 = [mpmath.mpc(1)] + [mpmath.mpc(0)] * (rows.shape[1] - 1)
+    return {k: _oracle_series(_cayley(p), e1) for k, p in enumerate(rows)}
+
+
+SERIES = ("special", "koranyi", "nt", "angle", "euclid_nt", "boundary_dist", "gap")
+
+
+def _check_series(got, radial, oracle, label):
+    """got (the SERIES) and the radial series against oracle, a dict row -> (t, SERIES).
+
+    The radial quotient of step k is checked where the oracle has rows k and k + 1.
+    """
+    for k, (t, want) in oracle.items():
+        for name, series, w in zip(SERIES, got, want):
+            assert abs(series[k] - w) <= RTOL * abs(w), (label, name, k, series[k], w)
+        if k + 1 in oracle:
+            w = (1 - oracle[k + 1][0]) / (1 - t)
+            assert abs(radial[k] - w) <= RTOL * abs(w), (label, "radial", k, radial[k], w)
+    return len(oracle)
+
+
+@pytest.mark.parametrize("name", sorted(UNBOUNDED))
+def test_unbounded_approach_series_match_the_oracle(name):
+    orbit = _orbit(*UNBOUNDED[name])
+    rows = _rows(orbit.points)
+    got = g.approach_series_siegel(rows) + (g.MODELS[orbit.model].gap_series(orbit.points),)
+    radial = g.radial_quotient_series_siegel(rows)
+    assert _check_series(got, radial, _siegel_oracle(rows), name) == orbit.length
+
+
+@pytest.mark.parametrize("name", sorted(UNBOUNDED) + sorted(BOUNDED))
+def test_ball_approach_series_match_the_oracle_off_the_boundary(name):
+    spec, start, steps = {**UNBOUNDED, **BOUNDED}[name]
+    orbit = _orbit(spec, start, steps)
+    rows = _rows(g.MODELS[orbit.model].to_ball(orbit.points))
+    # closer to the sphere 1 - ||Z||^2 cancels in the stored doubles themselves
+    keep = 1.0 - (rows.real**2 + rows.imag**2).sum(axis=1) >= 1e-3
+    vertices = [g.BoundaryPoint.e1(rows.shape[1]).X]
+    if rows.shape[1] > 1:  # a vertex off the axis; for N = 1 every vertex is a phase
+        vertices.append(g.BoundaryPoint(np.random.default_rng(5).normal(size=2 * rows.shape[1])
+                                        .view(np.complex128)).X)
+    for x in vertices:
+        got = g.approach_series_ball(rows, x) + (g.boundary_gap_series_ball(rows),)
+        radial = g.radial_quotient_series_ball(rows, x)
+        xm = [_mpc(v) for v in x]
+        oracle = {k: _oracle_series([_mpc(v) for v in rows[k]], xm)
+                  for k in np.flatnonzero(keep).tolist()}
+        assert _check_series(got, radial, oracle, name) >= 10
+
+
+# the orbit of 0.5 z + i stops as a fixed point, where no multiplier is estimated
+@pytest.mark.parametrize("name", sorted(set(UNBOUNDED) - {"affine_contraction"}))
+def test_multiplier_matches_the_oracle(name):
+    spec, start, steps = UNBOUNDED[name]
+    orbit = _orbit(spec, start, steps)
+    gaps = [series[-1] for _, series in _siegel_oracle(_rows(orbit.points)).values()]
+    ratios = [b / a for a, b in zip(gaps, gaps[1:])]
+    want = min(ratios[-max(1, int(round(len(ratios) * Budgets().tail_fraction))):])
+    got = dynamics.estimate_multiplier(spec, orbit).raw
+    assert abs(got - want) <= RTOL * abs(want), (name, got, want)
 
 
 def test_pointwise_quotients_match_the_oracle():
