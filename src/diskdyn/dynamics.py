@@ -33,7 +33,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Budgets:
-    """The orbit budget and every threshold a verdict reads; nothing else sets them.
+    """The orbit budget and every verdict threshold that a caller can set.
 
     n_max: orbit length.  tail_fraction: step_series, estimate_multiplier.
     tol_c: classify's type.  tol_dw: classify, estimate_denjoy_wolff.
