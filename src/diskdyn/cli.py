@@ -93,8 +93,10 @@ def _starts(cfg: dict, spec):
 def _budgets(cfg: dict, args) -> dynamics.Budgets:
     """Budgets with the config's n_max (--n-max first) and the three tolerances it may set."""
     tol = cfg.get("tolerances", {})
-    n_max = args.n_max or cfg.get("n_max", dynamics.Budgets.n_max)
-    return dynamics.Budgets(n_max=int(n_max), **{
+    n_max = int(args.n_max if args.n_max is not None else cfg.get("n_max", dynamics.Budgets.n_max))
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    return dynamics.Budgets(n_max=n_max, **{
         k: float(tol[k]) for k in ("tol_c", "tol_dw", "tol_step") if k in tol})
 
 

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _BLOCK, _PRECHECK_N, _require_parabolic, iterate, step_series
+from . import maps
+from .dynamics import _PRECHECK_N, _require_parabolic, iterate, step_series
 from .errors import DegenerateInputError, PreconditionError
 
 __all__ = [
@@ -40,6 +41,8 @@ __all__ = [
 ]
 
 DEFAULT_CHECKPOINTS = (100, 1_000, 10_000, 100_000)
+# a grid that steps by running sums does so in chunks of up to this many rows
+_CHUNK = 256
 
 
 def default_grid(nx: int = 5, ny: int = 5) -> np.ndarray:
@@ -83,11 +86,9 @@ def _precheck(spec, precheck_n: int) -> None:
 def _run_grid(spec, grid, basepoint, checkpoints):
     """Push grid + basepoint through the iterates, sampling at checkpoints.
 
-    A map with a block method (``HalfplaneAffine`` with lam = 1, see
-    :mod:`diskdyn.maps`) advances the whole row of points up to ``_BLOCK``
-    steps per call, as running sums that equal the per-step calls bit for bit;
-    every other map is called once per step.  At each checkpoint n, f_{n+1}
-    is one more call.
+    Where ``maps._block_fill`` gives a running-sum filler, the whole row of
+    points advances up to ``_CHUNK`` steps per call; every other map is
+    called once per step.  At each checkpoint n, f_{n+1} is one more call.
 
     Returns per-checkpoint tuples (f_n(grid), f_{n+1}(grid), z_n, z_{n+1}).
     """
@@ -95,9 +96,8 @@ def _run_grid(spec, grid, basepoint, checkpoints):
     want = sorted(set(int(c) for c in checkpoints))
     if want[0] < 1:
         raise PreconditionError("checkpoints must be >= 1")
-    # the block equals the calls bit for bit from starts with Re z > 0 (see maps)
-    fill = getattr(spec, "_block", None) if (pts.real > 0.0).all() else None
-    rows = None if fill is None else np.empty((_BLOCK, pts.size), np.complex128)
+    fill = maps._block_fill(spec, pts)
+    rows = None if fill is None else np.empty((_CHUNK, pts.size), np.complex128)
     samples = {}
     cur = pts
     n = 0
@@ -106,8 +106,8 @@ def _run_grid(spec, grid, basepoint, checkpoints):
             for _ in range(n, c):
                 cur = spec(cur)
         else:
-            for k in range(n, c, _BLOCK):
-                m = min(_BLOCK, c - k)
+            for k in range(n, c, _CHUNK):
+                m = min(_CHUNK, c - k)
                 fill(cur, rows[:m])
                 cur = rows[m - 1].copy()
         n = c

@@ -13,7 +13,7 @@ definitional formulas with a general vertex X.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -205,7 +205,7 @@ def theorem_harness(
     two extra checks: non-zero-step rows must be non-restricted, and
     restricted rows must have radial quotient within _TOL_RADIAL of 1.
     Inconclusive step verdicts fail the row; classification failures skip it.
-    Specs are classified at classify_n_max steps, rows run on budgets.
+    Specs are classified at classify_n_max steps and budgets' tolerances, rows run on budgets.
     """
     budgets = budgets or Budgets()
     rows = []
@@ -213,7 +213,7 @@ def theorem_harness(
     for spec, start in suite:
         label = _spec_label(spec)
         if spec not in reports:
-            reports[spec] = classify(spec, budgets=Budgets(n_max=classify_n_max))
+            reports[spec] = classify(spec, budgets=replace(budgets, n_max=classify_n_max))
         rep = reports[spec]
         if rep.type != "parabolic":
             rows.append(
@@ -311,7 +311,7 @@ def conjecture_probe(spec, starts=None, budgets: Budgets | None = None) -> Probe
         starts = _fit_starts(spec, [model.point(s) for s in model.starts + model.probe_starts])
     if len(starts) < 5:
         raise PreconditionError("the probe wants at least 5 starts")
-    _require_parabolic(spec, _PRECHECK_N)
+    _require_parabolic(spec, _PRECHECK_N, budgets)
     verdicts = []
     dinfs = []
     for s in starts:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -13,7 +13,7 @@ from .errors import (
     EvaluationError,
     PreconditionError,
 )
-from .geometry import MODELS, BoundaryPoint, Model
+from .geometry import MODELS, BoundaryPoint, Model, _margin
 
 __all__ = [
     "Budgets",
@@ -117,12 +117,8 @@ _BLOCK = 256
 # the fixed-point test is only a stopping shortcut, made every this many
 # ball/Siegel steps; planar orbits make it at every step
 _FP_STRIDE = 16
-# the block screen widens every threshold by this relative slack, so that its
-# vectorized rounding can only add candidate steps for the exact per-step
-# check, never hide a step where that check stops.  Two orders of summing the
-# 2N squares of a point differ by about 4N ulps, far below it for N < 1000;
-# a wider slack would flag every late step of a Heisenberg orbit, whose
-# Re z and ||w||^2 both grow like n^2 while their difference stays fixed
+# the screen widens the |z| and fixed-point thresholds by this relative slack,
+# since numpy's array abs can differ from the scalar abs of the per-step check
 _SLACK = 1e-12
 
 
@@ -135,23 +131,18 @@ def iterate(spec, start, n_max: int, policy: StoppingPolicy | None = None) -> Or
     ``_check_step``.  The orbit is the one a per-step check would give, and
     its points are a view of the buffer.
 
-    A map with a block method (Siegel and Heisenberg translations and their
-    compositions, and ``HalfplaneAffine`` with lam = 1, see
-    :mod:`diskdyn.maps`) fills the whole block in one call, as running sums
-    that equal its step-by-step points bit for bit; for the half-plane
-    translation that holds because ``1.0 * z`` changes only the sign of an
-    Im z of -0.0, which the block's first step, a call, takes care of.  Every
-    other map is called once per step, and a block's points are stored
-    together, so a map must not change the point it is given.  A start with
-    a non-finite coordinate raises DomainError.
+    Where ``maps._block_fill`` gives a running-sum filler, it fills each
+    block in one call; every other map is called once per step, and a
+    block's points are stored together, so a map must not change the point
+    it is given.  A start with a non-finite coordinate raises DomainError.
     """
     policy = policy or StoppingPolicy()
     model = MODELS[spec.model]
-    fill = getattr(spec, "_block", None)
     # a planar point stays a number, so the map keeps its own arithmetic
     cur = model.point(start)
     if not model.contains(cur):
         raise DomainError(f"start lies outside the {spec.model} domain")
+    fill = maps._block_fill(spec, cur)
     buf = np.empty((n_max + 1,) + np.shape(cur), np.complex128)
     rows = buf.reshape(n_max + 1, -1)  # planar points are the N = 1 case
     buf[0] = cur
@@ -180,8 +171,9 @@ def iterate(spec, start, n_max: int, policy: StoppingPolicy | None = None) -> Or
                         exc, end = err, j - 1
                         break
         block = rows[t : end + 1]
-        for i in np.flatnonzero(~_screen(model, policy, block, t)).tolist():
-            reason, kept = _check_step(model, policy, block[i + 1], block[i], t + i)
+        clear, margin = _screen(model, policy, block, t)
+        for i in np.flatnonzero(~clear).tolist():
+            reason, kept = _check_step(model, policy, block[i + 1], block[i], t + i, margin[i])
             if reason is not None:
                 return Orbit(spec, spec.model, start, buf[: t + i + 1 + kept], reason)
         if exc is not None:
@@ -203,40 +195,34 @@ def iterate_batch(spec, starts, n_max: int, policy: StoppingPolicy | None = None
 # failure, as it should; the decorators keep numpy from warning about it
 @np.errstate(invalid="ignore")
 def _screen(model: Model, policy: StoppingPolicy, pts, t: int):
-    """(m,) mask of the steps of pts that certainly pass _check_step.
+    """(m,) mask of the steps of pts that certainly pass _check_step, and their (m,) margins.
 
-    pts is (m + 1, N) and its point i is point t + i of the orbit.
+    pts is (m + 1, N) and its point i is point t + i of the orbit.  _check_step
+    reads margin i for step t + i, so the margin tests need no slack.
     """
     nxt, cur = pts[1:], pts[:-1]
     if model.unbounded:
-        x, w = nxt[..., 0].real, nxt[..., 1:]
+        margin = _margin(nxt[:, 0].real, nxt[:, 1:])
+        clear = (margin > 0.0) & (np.abs(nxt[:, 0]) <= policy.max_magnitude * (1.0 - _SLACK))
     else:
-        x, w = 1.0, nxt
-    q = (w.real**2 + w.imag**2).sum(axis=-1)
-    margin = x - q
-    slack = _SLACK * (np.abs(x) + q)
-    clear = margin > slack
-    if model.unbounded:
-        clear &= np.abs(nxt[..., 0]) <= policy.max_magnitude * (1.0 - _SLACK)
-    else:
-        clear &= margin >= policy.boundary_gap + slack
+        margin = _margin(1.0, nxt)
+        clear = (margin > 0.0) & (margin >= policy.boundary_gap)
     stride = 1 if model.planar else _FP_STRIDE
     first = -t % stride
     disp = np.abs(nxt[first::stride] - cur[first::stride]).max(axis=-1)
     clear[first::stride] &= disp >= policy.fixed_point_tol * (1.0 + _SLACK)
-    return clear
+    return clear, margin
 
 
 @np.errstate(invalid="ignore")
-def _check_step(model: Model, policy: StoppingPolicy, nxt, cur, k: int):
-    """The stopping rule for step k, from the (N,) point cur to nxt.
+def _check_step(model: Model, policy: StoppingPolicy, nxt, cur, k: int, margin):
+    """The stopping rule for step k, from the (N,) point cur to nxt of the given margin.
 
     Returns (stop reason or None, whether nxt belongs to the orbit); raises
     EvaluationError when nxt left the domain.  Planar points (N = 1) are
     checked in scalar arithmetic: numpy's array abs, for one, can differ from
     the scalar abs in the last bit.
     """
-    margin = model.margin(nxt)
     if not margin > 0.0:
         if margin != margin:  # NaN
             return "numeric_failure", False
@@ -450,8 +436,8 @@ def classify(spec, starts=None, budgets: Budgets | None = None) -> Classificatio
     )
 
 
-def _require_parabolic(spec, n_max: int) -> None:
-    """Raise PreconditionError unless classify, at n_max steps, calls spec parabolic."""
-    rep = classify(spec, budgets=Budgets(n_max=n_max))
+def _require_parabolic(spec, n_max: int, budgets: Budgets | None = None) -> None:
+    """Raise PreconditionError unless classify, in n_max steps of budgets, calls spec parabolic."""
+    rep = classify(spec, budgets=replace(budgets or Budgets(), n_max=n_max))
     if rep.type != "parabolic":
         raise PreconditionError(f"map classifies as {rep.type}, need parabolic")

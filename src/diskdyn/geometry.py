@@ -17,7 +17,8 @@ modules read instead of branching on the name: whether the model is unbounded
 and planar, its starts, its point coercion and domain margin, its side of the
 Cayley pair, its metric and its step and gap series.  Each quantity has one
 formula, on the ball or the Siegel side, whose N = 1 case is the planar one;
-the metric ``pdist`` is the step series of a two-point orbit.
+the metric ``pdist`` is the step series of a two-point orbit, and ``_margin``
+is the margin of a point, of an orbit block and of the step series' points.
 
 The step d(p_n, p_{n+1}) is formed from the step itself (``step_series_siegel``,
 ``step_series_ball``), never as sqrt(1 - (product of margins)/|cross|^2), which
@@ -329,13 +330,21 @@ def _dot(a, b) -> np.ndarray:
 
 
 def _norm2(a) -> np.ndarray:
-    """||a_n||^2, row by row, for the steps and the Siegel approach and gap series.
+    """||a_n||^2, row by row, for the margins and the Siegel approach and gap series.
 
     Squaring re and im rounds once less than squaring np.abs, which matters
     where A = Re z - ||w||^2 cancels.  The ball series keep np.sum(np.abs(a) ** 2):
     with it the ball gap's N = 1 case is the disk's 1 - |z| bit for bit.
     """
     return (a.real**2 + a.imag**2).sum(axis=1)
+
+
+def _margin(x, w) -> np.ndarray:
+    """x - ||w_n||^2 row by row: the margin Re z - ||w||^2 (x = Re z), or 1 - ||Z||^2 (x = 1).
+
+    With one column it is x - (re * re + im * im), the scalar planar formula.
+    """
+    return x - _norm2(w)
 
 
 def step_series_siegel(P) -> np.ndarray:
@@ -349,7 +358,7 @@ def step_series_siegel(P) -> np.ndarray:
     z, w = P[:, 0], P[:-1, 1:]
     dz = z[1:] - z[:-1]
     dw = P[1:, 1:] - w
-    a = np.maximum(z.real[:-1] - _norm2(w), 0.0)
+    a = np.maximum(_margin(z.real[:-1], w), 0.0)
     u = dz - 2.0 * _dot(dw, w)
     # sqrt(A) sqrt(||dw||^2), not sqrt(A ||dw||^2): the product overflows first
     return np.hypot(np.abs(u), 2.0 * np.sqrt(a) * np.sqrt(_norm2(dw))) / np.abs(2.0 * a + u)
@@ -363,7 +372,7 @@ def step_series_ball(P) -> np.ndarray:
     """
     P = _rows(P)
     Z, D = P[:-1], P[1:] - P[:-1]
-    m = np.maximum(1.0 - _norm2(Z), 0.0)
+    m = np.maximum(_margin(1.0, Z), 0.0)
     v = _dot(D, Z)
     return np.sqrt(m * _norm2(D) + np.abs(v) ** 2) / np.abs(m - v)
 
@@ -472,12 +481,11 @@ class Model:
 
     def margin(self, p) -> float:
         """1 - ||Z||^2, or Re z - ||w||^2 for the unbounded models: positive iff p is interior."""
-        if self.planar:
-            z = self.point(p)
-            return z.real if self.unbounded else 1.0 - (z.real * z.real + z.imag * z.imag)
-        P = np.asarray(p, np.complex128).reshape(-1)
-        x, w = (P[0].real, P[1:]) if self.unbounded else (1.0, P)
-        return x - float(np.vdot(w, w).real)
+        P = np.reshape(self.point(p), (1, -1))
+        x, w = (P[:, 0].real, P[:, 1:]) if self.unbounded else (1.0, P)
+        # an overflow or inf - inf gives inf or NaN silently, as float arithmetic does
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(_margin(x, w)[0])
 
     def contains(self, p) -> bool:
         """Whether the point p is interior: every coordinate finite and the margin positive.

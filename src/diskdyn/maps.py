@@ -14,12 +14,11 @@ The built-in families cover the dynamical taxonomy with closed-form oracles:
 * ``HeisenbergTranslation``  parabolic ball automorphism with non-special orbits
 
 ``SiegelTranslation``, ``HeisenbergTranslation``, any ``Composition`` of
-them, and ``HalfplaneAffine`` with lam = 1 also step a whole block of an orbit
-at once (their private ``_block``, which ``dynamics.iterate`` uses).  The
-half-plane translation's block, ``_shift_block``, takes one point or a row of
-points, so ``conjugation`` steps its whole sample grid with it too.  The
-translations move w by a fixed ``a`` and z by terms known from w, so every
-coordinate of the block is a running sum of per-step terms.
+them, and ``HalfplaneAffine`` with lam = 1 step a whole block of an orbit at
+once: ``_block_fill``, which ``dynamics.iterate`` and ``conjugation`` ask,
+gives the filler or None.  The half-plane filler takes one point or a row of
+points, such as a sample grid.  The translations move w by a fixed ``a`` and
+z by terms known from w, so every coordinate of the block is a running sum.
 ``np.add.accumulate`` adds those terms one after the other, in the order
 ``__call__`` adds them, and a step that leaves w alone copies it; the block
 therefore holds the points that step-by-step calls give, bit for bit.  For
@@ -30,8 +29,8 @@ first step by a call; under that rule no later point has an Im z of -0.0,
 since a sum is -0.0 only when both terms are, so the running sum of b from
 there matches the calls bit for bit.  A row of points steps element by
 element, and numpy multiplies it as complex numbers too, so the same holds
-for a row whose points all have Re z > 0.  Every other map is stepped one
-call at a time.
+for a row whose points all have Re z > 0, which ``_block_fill`` asks of the
+start.  Every other map is stepped one call at a time.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import DomainError, EvaluationError, ModelMismatchError
-from .geometry import MODELS
+from .geometry import MODELS, _margin
 
 
 def _c(x) -> complex:
@@ -90,11 +89,6 @@ class HalfplaneAffine:
 
     def __call__(self, z):
         return self.lam * z + self.b
-
-    @property
-    def _block(self):
-        """The running-sum block method of a translation (lam = 1, finite b); None otherwise."""
-        return self._shift_block if self.lam == 1.0 and np.isfinite(self.b) else None
 
     def _shift_block(self, cur, out):
         """Fill out (m,) or (m, k) with the m points of the orbit of z + b after cur.
@@ -161,9 +155,6 @@ class SiegelTranslation:
         out[0] += self.b
         return out
 
-    def _block(self, cur, out):
-        _translate_block((self,), cur, out)
-
     def params_ok(self) -> bool:
         return self.b.real >= 0.0
 
@@ -196,9 +187,6 @@ class HeisenbergTranslation:
         re, im = _inner(w, self.a)
         z = z + complex(2.0 * re, 2.0 * im) + self._shift
         return np.array([z] + [wj + aj for wj, aj in zip(w, self.a)])
-
-    def _block(self, cur, out):
-        _translate_block((self,), cur, out)
 
     def params_ok(self) -> bool:
         return True
@@ -254,12 +242,6 @@ class Composition:
             pt = f(pt)
         return pt
 
-    @property
-    def _block(self):
-        """The block method of the composed translations; None unless every part has one."""
-        steps = _translations(self)
-        return None if steps is None else partial(_translate_block, steps)
-
     def params_ok(self) -> bool:
         return all(p.params_ok() for p in self.parts)
 
@@ -304,6 +286,18 @@ def _inner(w, a):
         re = re + (wj.real * aj.real + wj.imag * aj.imag)
         im = im + (wj.imag * aj.real - wj.real * aj.imag)
     return re, im
+
+
+def _block_fill(spec, start):
+    """fill(cur, out), which puts the points after cur into out by running sums, or None.
+
+    ``HalfplaneAffine`` needs lam = 1, a finite b and Re z > 0 at every point of start.
+    """
+    if isinstance(spec, HalfplaneAffine):
+        ok = spec.lam == 1.0 and np.isfinite(spec.b) and np.all(np.real(start) > 0.0)
+        return spec._shift_block if ok else None
+    steps = _translations(spec)
+    return None if steps is None else partial(_translate_block, steps)
 
 
 def _translations(spec):
@@ -427,7 +421,7 @@ def sample_domain(model: str, count: int, rng: np.random.Generator, dim: int = 2
         rad = rng.uniform(0.0, 0.98, (count, 1)) ** (1.0 / (2 * dim))
         return v / nrm * rad
     w = rng.normal(size=(count, 2 * (dim - 1))).view(np.complex128)  # Siegel
-    wn2 = np.sum(np.abs(w) ** 2, axis=1).real
+    wn2 = -_margin(0.0, w)  # ||w||^2 by the formula that Model.margin reads back
     x = wn2 + np.exp(rng.uniform(-2.0, 4.0, count))
     y = rng.normal(0.0, 2.0, count) * (1.0 + np.sqrt(wn2))
     return np.concatenate(((x + 1j * y)[:, None], w), axis=1)

@@ -150,6 +150,34 @@ def test_probe_command(tmp_path):
     assert all(r[1] == "zero_step" for r in rows)
 
 
+def test_probe_precheck_agrees_with_classify(tmp_path, capsys):
+    # z -> 2z has multiplier 0.5, in the parabolic band of tol_c 0.6: the
+    # probe's precheck reads the config's tolerances as classify does
+    cfg = {"map": {"family": "HalfplaneAffine", "lam": 2.0, "b": [0.0, 0.0]},
+           "n_max": 2000, "tolerances": {"tol_c": 0.6}}
+    assert run(tmp_path, "classify", cfg) == 0
+    with open(tmp_path / "classify.json") as fh:
+        assert json.load(fh)["type"] == "parabolic"
+    assert run(tmp_path, "probe", cfg) == 0
+    assert "need parabolic" not in capsys.readouterr().err
+    _, rows = read_csv(tmp_path / "probe.csv")
+    assert [r[1] for r in rows] == ["nonzero_step"] * 5
+
+
+def test_n_max_zero_on_the_command_line(tmp_path):
+    # 0 is a budget, not a missing option: the orbit is its start alone
+    assert run(tmp_path, "orbit", dict(PARABOLIC, n_max=50), ["--n-max", "0"]) == 0
+    _, rows = read_csv(tmp_path / "orbit.csv")
+    assert len(rows) == 1
+
+
+@pytest.mark.parametrize("cfg_n_max, extra", [(-1, ()), (50, ("--n-max", "-2"))])
+def test_negative_n_max_is_a_config_error(tmp_path, capsys, cfg_n_max, extra):
+    assert run(tmp_path, "orbit", dict(PARABOLIC, n_max=cfg_n_max), extra) == cli.EXIT_USAGE
+    assert "config error: n_max" in capsys.readouterr().err
+    assert not (tmp_path / "orbit.csv").exists()
+
+
 def test_plot_command_byte_stable(tmp_path):
     cfg = dict(PARABOLIC, n_max=200)
     assert run(tmp_path, "plot", cfg) == 0

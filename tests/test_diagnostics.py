@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,26 @@ def test_harness_classifies_each_distinct_spec_once(monkeypatch):
     for row, (spec, start) in zip(rep.rows, suite):
         assert row.start is start
         assert row.label == diagnostics._spec_label(spec)
+
+
+def test_prechecks_read_the_callers_tolerances(monkeypatch):
+    # only n_max is the precheck's own; z -> 2z (c = 0.5) is parabolic at tol_c 0.6
+    budgets = Budgets(n_max=1_000, tol_c=0.6, tol_dw=2e-4)
+    seen = []
+    real = dynamics.classify
+
+    def recorded(spec, starts=None, budgets=None):
+        seen.append(budgets)
+        return real(spec, starts, budgets)
+
+    monkeypatch.setattr(diagnostics, "classify", recorded)
+    monkeypatch.setattr(dynamics, "classify", recorded)
+    suite = [(maps.SiegelTranslation(1.0), np.array([1.0, 0.0], np.complex128))]
+    assert diagnostics.theorem_harness(suite, budgets, classify_n_max=2_000).n_passed == 1
+    rep = diagnostics.conjecture_probe(maps.HalfplaneAffine(2.0), budgets=budgets)
+    assert rep.flag == "CONSISTENT"
+    assert seen == [dataclasses.replace(budgets, n_max=2_000),
+                    dataclasses.replace(budgets, n_max=dynamics._PRECHECK_N)]
 
 
 def test_probe_takes_the_dimension_from_the_map():

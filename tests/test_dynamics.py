@@ -284,6 +284,34 @@ def reference_orbit(spec, start, n_max, policy=None):
     return buf[:count].copy(), stop
 
 
+def _margin_rows(rng, m, n, unbounded):
+    """m points of C^n over many scales, signed zeros, and Re z near ||w||^2 for unbounded rows."""
+    P = (rng.normal(size=(m, 2 * n)) * 10.0 ** rng.uniform(-8.0, 8.0, (m, 2 * n))).view(complex)
+    P[: m // 8] = np.where(rng.random((m // 8, n)) < 0.5, complex(-0.0, 0.0), complex(0.0, -0.0))
+    if unbounded:
+        P[m // 2 :, 0] += (P[m // 2 :, 1:].real ** 2 + P[m // 2 :, 1:].imag ** 2).sum(axis=1)
+    return P
+
+
+@pytest.mark.parametrize("name", sorted(geometry.MODELS))
+def test_screen_margins_are_the_model_margins_bit_for_bit(name):
+    # _check_step reads the screen's margin; Model.margin must give the same bits
+    model = geometry.MODELS[name]
+    rng = np.random.default_rng(sorted(geometry.MODELS).index(name))
+    for n in (1,) if model.planar else (1, 2, 5, 9, 16):
+        pts = _margin_rows(rng, 301, n, model.unbounded)
+        _, margins = dynamics._screen(model, StoppingPolicy(), pts, 0)
+        x, w = (pts[:, 0].real, pts[:, 1:]) if model.unbounded else (1.0, pts)
+        assert geometry._margin(x, w)[1:].tobytes() == margins.tobytes()
+        for row, got in zip(pts[1:], margins):
+            assert np.float64(model.margin(row)).tobytes() == got.tobytes()
+            if model.planar:  # and the scalar formula of the planar models
+                z = complex(row[0])
+                old = z.real if model.unbounded else 1.0 - (z.real * z.real + z.imag * z.imag)
+                assert np.float64(model.margin(z)).tobytes() == np.float64(old).tobytes()
+                assert np.float64(old).tobytes() == got.tobytes()
+
+
 class NanBeyond:
     """(z, w) -> (z + 1, w) that returns NaN once Re z passes `edge`."""
 
@@ -885,4 +913,4 @@ def test_affine_translation_block_matches_per_step_calls(name, monkeypatch):
     maps.HalfplaneAffine(1.0, complex(np.inf, 0.0)),
 ])
 def test_affine_block_only_for_finite_translations(spec):
-    assert spec._block is None
+    assert maps._block_fill(spec, 1.0 + 0j) is None

@@ -309,6 +309,21 @@ def test_spec_from_dict_defaults_and_errors():
             maps.spec_from_dict(d)
 
 
+# lam != 1 and a non-finite b: test_affine_block_only_for_finite_translations
+@pytest.mark.parametrize("spec, start", [
+    (maps.HalfplanePerturbed(1j, 1.0), 1.0 + 0j),
+    (maps.Conjugated(maps.SiegelTranslation(1.0)), np.array([0.2, 0.1], complex)),
+    (maps.compose(maps.SiegelTranslation(1.0), maps.Identity("siegel")),
+     np.array([1.0, 0.0], complex)),
+    (maps.compose(maps.HalfplaneAffine(1.0, 1.0), maps.HalfplaneAffine(1.0, 1.0)), 1.0 + 0j),
+    # a row of half-plane translation starts with a point of Re z <= 0
+    (maps.HalfplaneAffine(1.0, 1.0), np.array([1.0, 2.0 + 1j, complex(0.0, -0.0)])),
+    (maps.HalfplaneAffine(1.0, 1.0), np.array([1.0, -1.0 + 1j])),
+])
+def test_block_fill_is_none_where_a_map_steps_by_calls(spec, start):
+    assert maps._block_fill(spec, start) is None
+
+
 def test_sample_domain_stays_interior():
     rng = np.random.default_rng(3)
     for model in maps.MODELS:
