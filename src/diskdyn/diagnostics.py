@@ -204,7 +204,9 @@ def theorem_harness(
     A row passes when NOT restricted OR the step verdict is zero_step, with
     two extra checks: non-zero-step rows must be non-restricted, and
     restricted rows must have radial quotient within _TOL_RADIAL of 1.
-    Inconclusive step verdicts fail the row; classification failures skip it.
+    Inconclusive step verdicts fail the row.  A row whose spec is not parabolic,
+    or whose orbit the analysis cannot read (PreconditionError), is skipped
+    with the reason as its note.
     Specs are classified at classify_n_max steps and budgets' tolerances, rows run on budgets.
     """
     budgets = budgets or Budgets()
@@ -215,16 +217,17 @@ def theorem_harness(
         if spec not in reports:
             reports[spec] = classify(spec, budgets=replace(budgets, n_max=classify_n_max))
         rep = reports[spec]
-        if rep.type != "parabolic":
-            rows.append(
-                HarnessRow(label, start, rep.type, None, None, None, None, None,
-                           False, True, "classification is not parabolic")
-            )
+        try:
+            if rep.type != "parabolic":
+                raise PreconditionError("classification is not parabolic")
+            orbit = iterate(spec, start, budgets.n_max)
+            ap = approach_report(orbit, budgets=budgets)
+            st = step_series(orbit, budgets)
+            rq = radial_quotient_series(orbit)
+        except PreconditionError as err:
+            rows.append(HarnessRow(label, start, rep.type, None, None, None, None, None,
+                                   False, True, str(err)))
             continue
-        orbit = iterate(spec, start, budgets.n_max)
-        ap = approach_report(orbit, budgets=budgets)
-        st = step_series(orbit, budgets)
-        rq = radial_quotient_series(orbit)
         k = max(1, int(round(rq.size * _TAIL_FRACTION)))
         radial_dev = float(np.mean(np.abs(rq[-k:] - 1.0)))
         checks = [  # (whether the row fails the check, its note)

@@ -110,26 +110,22 @@ def _fit_starts(spec, starts):
 # ---------------------------------------------------------------------------
 # iteration
 
-# the stopping checks of an orbit run once per block of this many steps,
-# vectorized over the block, instead of once per step; this serves all four
-# models, the planar ones as the N = 1 case
+# the stopping rule runs once per block of this many steps, vectorized over
+# the block, instead of once per step; this serves all four models, the
+# planar ones as the N = 1 case
 _BLOCK = 256
 # the fixed-point test is only a stopping shortcut, made every this many
 # ball/Siegel steps; planar orbits make it at every step
 _FP_STRIDE = 16
-# the screen widens the |z| and fixed-point thresholds by this relative slack,
-# since numpy's array abs can differ from the scalar abs of the per-step check
-_SLACK = 1e-12
 
 
 def iterate(spec, start, n_max: int, policy: StoppingPolicy | None = None) -> Orbit:
     """Forward orbit z_0, f(z_0), f_2(z_0), ... with at most n_max steps.
 
     One engine serves all four models.  The map steps the point through a
-    whole block first; a vectorized screen then flags every step of the block
-    that might stop, and only those steps go through the per-step rule of
-    ``_check_step``.  The orbit is the one a per-step check would give, and
-    its points are a view of the buffer.
+    whole block first; ``_first_stop`` then finds the block's first step that
+    stops the orbit, in the arithmetic of a per-step check, so the orbit is
+    the one such a check would give.  Its points are a view of the buffer.
 
     Where ``maps._block_fill`` gives a running-sum filler, it fills each
     block in one call; every other map is called once per step, and a
@@ -170,12 +166,9 @@ def iterate(spec, start, n_max: int, policy: StoppingPolicy | None = None) -> Or
                     except Exception as err:  # raised only if no earlier step stops
                         exc, end = err, j - 1
                         break
-        block = rows[t : end + 1]
-        clear, margin = _screen(model, policy, block, t)
-        for i in np.flatnonzero(~clear).tolist():
-            reason, kept = _check_step(model, policy, block[i + 1], block[i], t + i, margin[i])
-            if reason is not None:
-                return Orbit(spec, spec.model, start, buf[: t + i + 1 + kept], reason)
+        stop = _first_stop(model, policy, rows[t : end + 1], t)
+        if stop is not None:
+            return Orbit(spec, spec.model, start, buf[: stop[0]], stop[1])
         if exc is not None:
             raise exc
         t = end
@@ -190,58 +183,44 @@ def iterate_batch(spec, starts, n_max: int, policy: StoppingPolicy | None = None
     return [iterate(spec, s, n_max, policy) for s in starts]
 
 
-# past an overflow an orbit can hold inf, and inf - inf is NaN: the screen then
-# flags the step, and the check finds no fixed point there, or a numeric
-# failure, as it should; the decorators keep numpy from warning about it
+# past an overflow an orbit can hold inf, and inf - inf is NaN: a NaN margin is
+# a numeric failure and a NaN displacement no fixed point, as they should be;
+# the decorator keeps numpy from warning about them
 @np.errstate(invalid="ignore")
-def _screen(model: Model, policy: StoppingPolicy, pts, t: int):
-    """(m,) mask of the steps of pts that certainly pass _check_step, and their (m,) margins.
+def _first_stop(model: Model, policy: StoppingPolicy, pts, t: int):
+    """(orbit length, stop reason) at the first step of pts that stops, or None.
 
-    pts is (m + 1, N) and its point i is point t + i of the orbit.  _check_step
-    reads margin i for step t + i, so the margin tests need no slack.
+    pts is (m + 1, N) and its point i is point t + i of the orbit.  Within a
+    step the tests run in this order: a NaN margin is a numeric failure that
+    drops the point, a margin <= 0 raises EvaluationError, then come the
+    boundary and the fixed-point tests.  |z| and the planar displacement are
+    np.hypot of re and im, which rounds as the scalar abs does; numpy's array
+    abs can differ from it in the last bit.
     """
     nxt, cur = pts[1:], pts[:-1]
     if model.unbounded:
         margin = _margin(nxt[:, 0].real, nxt[:, 1:])
-        clear = (margin > 0.0) & (np.abs(nxt[:, 0]) <= policy.max_magnitude * (1.0 - _SLACK))
+        edge = np.hypot(nxt[:, 0].real, nxt[:, 0].imag) > policy.max_magnitude
     else:
         margin = _margin(1.0, nxt)
-        clear = (margin > 0.0) & (margin >= policy.boundary_gap)
+        edge = margin < policy.boundary_gap  # margin is 1 - ||.||^2 here
+    stop = ~(margin > 0.0) | edge
     stride = 1 if model.planar else _FP_STRIDE
     first = -t % stride
-    disp = np.abs(nxt[first::stride] - cur[first::stride]).max(axis=-1)
-    clear[first::stride] &= disp >= policy.fixed_point_tol * (1.0 + _SLACK)
-    return clear, margin
-
-
-@np.errstate(invalid="ignore")
-def _check_step(model: Model, policy: StoppingPolicy, nxt, cur, k: int, margin):
-    """The stopping rule for step k, from the (N,) point cur to nxt of the given margin.
-
-    Returns (stop reason or None, whether nxt belongs to the orbit); raises
-    EvaluationError when nxt left the domain.  Planar points (N = 1) are
-    checked in scalar arithmetic: numpy's array abs, for one, can differ from
-    the scalar abs in the last bit.
-    """
-    if not margin > 0.0:
-        if margin != margin:  # NaN
-            return "numeric_failure", False
+    d = nxt[first::stride] - cur[first::stride]
+    disp = np.hypot(d.real, d.imag) if model.planar else np.abs(d)
+    stop[first::stride] |= disp.max(axis=-1) < policy.fixed_point_tol
+    i = int(stop.argmax())
+    if not stop[i]:
+        return None
+    k = t + i + 1  # the point step i reached
+    if margin[i] != margin[i]:  # NaN
+        return k, "numeric_failure"
+    if not margin[i] > 0.0:
         raise EvaluationError(
-            f"orbit left the {model.name} domain at step {k + 1}",
-            index=k + 1,
-            margin=float(margin),
+            f"orbit left the {model.name} domain at step {k}", index=k, margin=float(margin[i])
         )
-    if model.unbounded:
-        if abs(nxt[0]) > policy.max_magnitude:
-            return "boundary_proximity", True
-    elif margin < policy.boundary_gap:  # margin is 1 - ||.||^2 here
-        return "boundary_proximity", True
-    if k % (1 if model.planar else _FP_STRIDE) == 0:
-        d = nxt - cur
-        disp = abs(d[0]) if model.planar else float(np.abs(d).max())
-        if disp < policy.fixed_point_tol:
-            return "interior_fixed_point", True
-    return None, True
+    return k + 1, "boundary_proximity" if edge[i] else "interior_fixed_point"
 
 
 def step_series(orbit: Orbit, budgets: Budgets | None = None) -> StepSeries:

@@ -115,6 +115,25 @@ def test_harness_command_custom_suite(tmp_path):
     assert "failed: 0" in summary
 
 
+
+def test_harness_skips_a_planar_row(tmp_path):
+    cfg = {
+        "n_max": 2000,
+        "suite": [
+            {"map": {"family": "HalfplaneAffine", "lam": 1.0, "b": [1.0, 0.0]},
+             "start": [1.0, 0.0]},
+            {"map": {"family": "SiegelTranslation", "b": [1.0, 0.0]},
+             "start": [[1.5, 0.0], [0.2, 0.0]]},
+        ],
+    }
+    assert run(tmp_path, "harness", cfg) == 0
+    header, rows = read_csv(tmp_path / "harness.csv")
+    rec = [dict(zip(header, r)) for r in rows]
+    assert [(r["skipped"], r["passed"]) for r in rec] == [("True", "False"), ("False", "True")]
+    assert rec[0]["notes"] == "approach analysis needs a ball or Siegel orbit"
+    summary = (tmp_path / "harness_summary.txt").read_text()
+    assert "passed: 1 failed: 0 skipped: 1" in summary
+
 def test_harness_csv_holds_the_deciding_statistics(tmp_path):
     cfg = {
         "n_max": 20000,

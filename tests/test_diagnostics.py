@@ -123,6 +123,22 @@ def test_harness_skips_non_parabolic():
     assert rep.rows[0].classified_type == "hyperbolic"
 
 
+
+@pytest.mark.parametrize("spec, start, note", [
+    (maps.HalfplaneAffine(1.0, 1.0), 1.0 + 0j, "approach analysis needs a ball or Siegel orbit"),
+    # 9.999e11 + 2e8 passes the 1e12 magnitude stop: a 3-point orbit
+    (maps.SiegelTranslation(1e8), np.array([9.999e11, 0.0], np.complex128),
+     "orbit too short for approach statistics"),
+], ids=["planar", "too_short"])
+def test_harness_skips_rows_the_analysis_cannot_read(spec, start, note):
+    suite = [(spec, start), (maps.SiegelTranslation(1.0), np.array([1.5, 0.2], np.complex128))]
+    rep = diagnostics.theorem_harness(suite, budgets=Budgets(n_max=2_000))
+    skipped, kept = rep.rows
+    assert skipped.classified_type == "parabolic"
+    assert skipped.skipped and not skipped.passed and skipped.notes == note
+    assert kept.passed and not kept.skipped and kept.step_verdict == "zero_step"
+    assert (rep.n_passed, rep.n_failed, rep.n_skipped) == (1, 0, 1)
+
 def test_default_suite_composition():
     suite = diagnostics.default_harness_suite()
     fams = [type(s).__name__ for s, _ in suite]

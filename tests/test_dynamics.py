@@ -294,13 +294,22 @@ def _margin_rows(rng, m, n, unbounded):
 
 
 @pytest.mark.parametrize("name", sorted(geometry.MODELS))
-def test_screen_margins_are_the_model_margins_bit_for_bit(name):
-    # _check_step reads the screen's margin; Model.margin must give the same bits
+def test_screen_margins_are_the_model_margins_bit_for_bit(name, monkeypatch):
+    # the stopping rule decides on the margins it reads from _margin, and
+    # raises with one of them; Model.margin must give the same bits
     model = geometry.MODELS[name]
     rng = np.random.default_rng(sorted(geometry.MODELS).index(name))
+    read = []
+    monkeypatch.setattr(dynamics, "_margin",
+                        lambda x, w: read.append(geometry._margin(x, w)) or read[-1])
     for n in (1,) if model.planar else (1, 2, 5, 9, 16):
         pts = _margin_rows(rng, 301, n, model.unbounded)
-        _, margins = dynamics._screen(model, StoppingPolicy(), pts, 0)
+        read.clear()
+        try:
+            dynamics._first_stop(model, StoppingPolicy(), pts, 0)
+        except EvaluationError as err:
+            assert np.float64(err.margin).tobytes() == read[0][err.index - 1].tobytes()
+        [margins] = read
         x, w = (pts[:, 0].real, pts[:, 1:]) if model.unbounded else (1.0, pts)
         assert geometry._margin(x, w)[1:].tobytes() == margins.tobytes()
         for row, got in zip(pts[1:], margins):
@@ -796,6 +805,103 @@ def test_planar_fixed_point_threshold_in_scalar_arithmetic():
                 policy = StoppingPolicy(fixed_point_tol=tol)
                 _assert_same(dynamics.iterate(spec, 0j, 3, policy),
                              reference_planar_orbit(spec, 0j, 3, policy))
+
+
+def _array_abs_edges(z):
+    """The k >= 1 where numpy's array abs of z_k differs from the scalar abs; all k >= 1 if none."""
+    array_abs = np.abs(z)
+    ks = [k for k in range(1, z.size) if array_abs[k] != abs(complex(z[k]))]
+    return ks or range(1, z.size)
+
+
+def _magnitude_limits(zk):
+    lim = abs(complex(zk))
+    return lim, np.nextafter(lim, 0.0), np.nextafter(lim, np.inf)
+
+
+def test_siegel_magnitude_threshold_in_scalar_arithmetic():
+    # limits at |z_k| as the scalar abs computes it, at points where the array
+    # abs differs from it in the last bit, and one ulp either side
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        b = complex(*rng.uniform(0.5, 2.0, 2)) * 10.0 ** rng.uniform(0, 6)
+        spec = maps.SiegelTranslation(b)
+        start = np.array([complex(*rng.uniform(1.0, 2.0, 2)) * 10.0 ** rng.uniform(0, 8), 0.5j])
+        z = dynamics.iterate(spec, start, 40).points[:, 0]
+        for k in _array_abs_edges(z):
+            for lim in _magnitude_limits(z[k]):
+                policy = StoppingPolicy(max_magnitude=lim)
+                _assert_same(dynamics.iterate(spec, start, 40, policy),
+                             reference_orbit(spec, start, 40, policy))
+
+
+def test_halfplane_magnitude_threshold_in_scalar_arithmetic():
+    # the same for the half-plane, whose running-sum block the rule reads
+    rng = np.random.default_rng(42)
+    for _ in range(20):
+        b = complex(*rng.uniform(0.5, 2.0, 2)) * 10.0 ** rng.uniform(0, 6)
+        spec = maps.HalfplaneAffine(1.0, b)
+        start = complex(*rng.uniform(1.0, 2.0, 2)) * 10.0 ** rng.uniform(0, 8)
+        z = dynamics.iterate(spec, start, 40).points
+        for k in _array_abs_edges(z):
+            for lim in _magnitude_limits(z[k]):
+                policy = StoppingPolicy(max_magnitude=lim)
+                _assert_same(dynamics.iterate(spec, start, 40, policy),
+                             reference_planar_orbit(spec, start, 40, policy))
+
+
+class Shift:
+    """pt -> pt + d on the ball or Siegel domain."""
+
+    def __init__(self, model, d):
+        self.model, self.d = model, d
+
+    def __call__(self, pt):
+        return pt + self.d
+
+
+@pytest.mark.parametrize("model, start", [("ball", [0.3 - 0.1j, 0.2j]), ("siegel", [1.5 + 2j, 0.4])])
+def test_ball_and_siegel_fixed_point_threshold_at_a_row_displacement(model, start):
+    # tolerances at the displacement of a checked step and one ulp either side
+    rng = np.random.default_rng(43)
+    start = np.array(start, np.complex128)
+    for _ in range(30):
+        spec = Shift(model, rng.normal(size=(2, 2)).view(complex)[:, 0] * 1e-14)
+        pts = dynamics.iterate(spec, start, 40, StoppingPolicy(fixed_point_tol=0.0)).points
+        for k in (0, 16, 32):
+            disp = float(np.abs(pts[k + 1] - pts[k]).max())
+            for tol in (disp, np.nextafter(disp, 0.0), np.nextafter(disp, 1.0)):
+                policy = StoppingPolicy(fixed_point_tol=tol)
+                _assert_same(dynamics.iterate(spec, start, 40, policy),
+                             reference_orbit(spec, start, 40, policy))
+
+
+def _same_bits_or_both_nan(a, b):
+    a, b = np.asarray(a, np.float64), np.asarray(b, np.float64)
+    nan = np.isnan(a)
+    assert np.array_equal(nan, np.isnan(b))
+    assert a[~nan].tobytes() == b[~nan].tobytes()
+
+
+def _rounding_points(rng, shape):
+    """Complex points over 40 decades, with signed zeros, infinities and NaN mixed in."""
+    parts = rng.normal(size=shape + (2,)) * 10.0 ** rng.uniform(-20.0, 20.0, shape + (2,))
+    special = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -3e-300], shape + (2,))
+    parts = np.where(rng.random(shape + (2,)) < 0.1, special, parts)
+    return parts.view(complex)[..., 0]
+
+
+def test_rounding_facts_the_stopping_rule_reads():
+    # np.hypot of re and im is the scalar abs, and the array abs of a block
+    # row by row; on a numpy that broke either, an orbit would stop one step off
+    rng = np.random.default_rng(44)
+    z = _rounding_points(rng, (20_000,))
+    hyp = np.hypot(z.real, z.imag)
+    _same_bits_or_both_nan(hyp, [abs(complex(v)) for v in z])
+    _same_bits_or_both_nan(hyp, [abs(v) for v in z])
+    for n in (1, 2, 5, 16):
+        block = _rounding_points(rng, (2_000, n))
+        _same_bits_or_both_nan(np.abs(block), [np.abs(row) for row in block])
 
 
 _NAN = float("nan")
