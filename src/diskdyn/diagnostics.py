@@ -40,6 +40,8 @@ __all__ = [
 _TAIL_FRACTION = 0.2
 # a restricted harness row fails when the radial quotient's tail mean is this far from 1
 _TOL_RADIAL = 1e-2
+# the fewest orbit points the approach statistics read
+_MIN_APPROACH = 10
 
 
 @dataclass(frozen=True)
@@ -103,7 +105,7 @@ def approach_report(orbit: Orbit, X=None, budgets: Budgets | None = None) -> App
     X = _resolve_vertex(orbit, X)
     special, koranyi, nt, angle, euclid, bdist = _orbit_series(orbit, X)
     n = special.size
-    if n < 10:
+    if n < _MIN_APPROACH:
         raise PreconditionError("orbit too short for approach statistics")
     k = max(2, int(round(n * _TAIL_FRACTION)))
     if not (bdist[-1] < bdist[-k] or bdist[-1] < 1e-9) or bdist[-1] > 0.5:
@@ -204,9 +206,10 @@ def theorem_harness(
     A row passes when NOT restricted OR the step verdict is zero_step, with
     two extra checks: non-zero-step rows must be non-restricted, and
     restricted rows must have radial quotient within _TOL_RADIAL of 1.
-    Inconclusive step verdicts fail the row.  A row whose spec is not parabolic,
-    or whose orbit the analysis cannot read (PreconditionError), is skipped
-    with the reason as its note.
+    Inconclusive step verdicts fail the row.  A row is skipped, with the reason
+    as its note, when its spec is not parabolic, when it is planar (the
+    approach analysis reads ball and Siegel orbits) or when its orbit is too
+    short for the approach statistics; any other PreconditionError is raised.
     Specs are classified at classify_n_max steps and budgets' tolerances, rows run on budgets.
     """
     budgets = budgets or Budgets()
@@ -217,17 +220,20 @@ def theorem_harness(
         if spec not in reports:
             reports[spec] = classify(spec, budgets=replace(budgets, n_max=classify_n_max))
         rep = reports[spec]
-        try:
-            if rep.type != "parabolic":
-                raise PreconditionError("classification is not parabolic")
+        if rep.type != "parabolic":
+            skip = "classification is not parabolic"
+        elif MODELS[spec.model].planar:
+            skip = "approach analysis needs a ball or Siegel orbit"
+        else:
             orbit = iterate(spec, start, budgets.n_max)
-            ap = approach_report(orbit, budgets=budgets)
-            st = step_series(orbit, budgets)
-            rq = radial_quotient_series(orbit)
-        except PreconditionError as err:
+            skip = "orbit too short for approach statistics" if orbit.length < _MIN_APPROACH else ""
+        if skip:
             rows.append(HarnessRow(label, start, rep.type, None, None, None, None, None,
-                                   False, True, str(err)))
+                                   False, True, skip))
             continue
+        ap = approach_report(orbit, budgets=budgets)
+        st = step_series(orbit, budgets)
+        rq = radial_quotient_series(orbit)
         k = max(1, int(round(rq.size * _TAIL_FRACTION)))
         radial_dev = float(np.mean(np.abs(rq[-k:] - 1.0)))
         checks = [  # (whether the row fails the check, its note)

@@ -210,9 +210,9 @@ def _first_stop(model: Model, policy: StoppingPolicy, pts, t: int):
     d = nxt[first::stride] - cur[first::stride]
     disp = np.hypot(d.real, d.imag) if model.planar else np.abs(d)
     stop[first::stride] |= disp.max(axis=-1) < policy.fixed_point_tol
-    i = int(stop.argmax())
-    if not stop[i]:
+    if not stop.any():  # pts can hold one point, when the map raised at step t + 1
         return None
+    i = int(stop.argmax())
     k = t + i + 1  # the point step i reached
     if margin[i] != margin[i]:  # NaN
         return k, "numeric_failure"

@@ -115,7 +115,6 @@ def test_harness_command_custom_suite(tmp_path):
     assert "failed: 0" in summary
 
 
-
 def test_harness_skips_a_planar_row(tmp_path):
     cfg = {
         "n_max": 2000,
@@ -133,6 +132,7 @@ def test_harness_skips_a_planar_row(tmp_path):
     assert rec[0]["notes"] == "approach analysis needs a ball or Siegel orbit"
     summary = (tmp_path / "harness_summary.txt").read_text()
     assert "passed: 1 failed: 0 skipped: 1" in summary
+
 
 def test_harness_csv_holds_the_deciding_statistics(tmp_path):
     cfg = {

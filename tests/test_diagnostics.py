@@ -123,7 +123,6 @@ def test_harness_skips_non_parabolic():
     assert rep.rows[0].classified_type == "hyperbolic"
 
 
-
 @pytest.mark.parametrize("spec, start, note", [
     (maps.HalfplaneAffine(1.0, 1.0), 1.0 + 0j, "approach analysis needs a ball or Siegel orbit"),
     # 9.999e11 + 2e8 passes the 1e12 magnitude stop: a 3-point orbit
@@ -138,6 +137,20 @@ def test_harness_skips_rows_the_analysis_cannot_read(spec, start, note):
     assert skipped.skipped and not skipped.passed and skipped.notes == note
     assert kept.passed and not kept.skipped and kept.step_verdict == "zero_step"
     assert (rep.n_passed, rep.n_failed, rep.n_skipped) == (1, 0, 1)
+
+
+@pytest.mark.parametrize("spec, start, n_max, match", [
+    # a parabolic ball map: the harness names no ball vertex
+    (maps.Conjugated(maps.SiegelTranslation(1.0)), np.array([0.1, 0.2], np.complex128), 2_000,
+     "ball orbits need an explicit vertex X"),
+    # 9 steps of 0.3 leave ||Z - e1|| above 0.5: a parabolic orbit that does not converge
+    (maps.SiegelTranslation(0.3), np.array([1.5, 1.2], np.complex128), 9,
+     "orbit does not converge to the vertex X"),
+], ids=["ball", "not_converging"])
+def test_harness_raises_other_precondition_errors(spec, start, n_max, match):
+    with pytest.raises(PreconditionError, match=match):
+        diagnostics.theorem_harness([(spec, start)], budgets=Budgets(n_max=n_max))
+
 
 def test_default_suite_composition():
     suite = diagnostics.default_harness_suite()

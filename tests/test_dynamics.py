@@ -532,6 +532,41 @@ def test_engine_raises_map_errors_before_the_stop():
         dynamics.iterate_batch(spec, starts + _siegel([-1.0, 0.0]), 1000)
 
 
+class MapFault(Exception):
+    pass
+
+
+class FaultAtStep:
+    """z -> z + 1 (Siegel: (z, w) -> (z + 1, w)) from Re z_0 = 1, raising MapFault at step k."""
+
+    def __init__(self, model, k):
+        self.model, self.k = model, k
+
+    def __call__(self, pt):
+        if np.ravel(pt)[0].real >= self.k:  # z_{k-1} has Re z = k
+            raise MapFault(f"fault at step {self.k}")
+        if self.model == "halfplane":
+            return pt + 1.0
+        out = np.array(pt, np.complex128)
+        out[0] += 1.0
+        return out
+
+
+@pytest.mark.parametrize("model, start", [("siegel", _siegel([1.0, 0.25j])[0]),
+                                          ("halfplane", 1.0 + 0.5j)])
+@pytest.mark.parametrize("k", [1, 2, 256, 257, 300])
+def test_map_error_on_any_step_of_a_block_comes_through(model, start, k):
+    # at k = 1 and 257 the map raises on the first step of a block
+    spec = FaultAtStep(model, k)
+    ref = reference_orbit if model == "siegel" else reference_planar_orbit
+    with pytest.raises(MapFault, match=f"^fault at step {k}$"):
+        ref(spec, start, 1000)
+    with pytest.raises(MapFault, match=f"^fault at step {k}$"):
+        dynamics.iterate(spec, start, 1000)
+    if k > 1:  # the orbit up to the step before the fault is the loop's
+        _assert_same(dynamics.iterate(spec, start, k - 1), ref(spec, start, k - 1))
+
+
 def test_iterate_batch_planar_runs_each_start():
     spec = maps.HalfplaneAffine(1.0, 1.0)
     orbits = dynamics.iterate_batch(spec, [1.0, 2.0 + 1j], 100)
