@@ -60,15 +60,21 @@ def write_atomic(path: str, text: str) -> None:
 
 
 def _parse_point(v, model: str):
+    """The config point v of the model; a point outside its domain is a config error."""
     if isinstance(v, (int, float)):
         v = [v, 0.0]
-    if maps.MODELS[model].planar:
+    m = maps.MODELS[model]
+    if m.planar:
         if v and isinstance(v[0], list):
             v = v[0]
-        return complex(v[0], v[1])
-    if v and not isinstance(v[0], list):
-        v = [v]
-    return np.array([complex(c[0], c[1]) for c in v], np.complex128)
+        p = complex(v[0], v[1])
+    else:
+        if v and not isinstance(v[0], list):
+            v = [v]
+        p = np.array([complex(c[0], c[1]) for c in v], np.complex128)
+    if not m.contains(p):
+        raise ValueError(f"start lies outside the {model} domain")
+    return p
 
 
 def _load_config(path: str) -> dict:

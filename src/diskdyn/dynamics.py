@@ -110,13 +110,26 @@ def _fit_starts(spec, starts):
 # ---------------------------------------------------------------------------
 # iteration
 
-# the stopping rule runs once per block of this many steps, vectorized over
-# the block, instead of once per step; this serves all four models, the
-# planar ones as the N = 1 case
+# the stopping rule runs once per block, vectorized over the block, instead
+# of once per step; this serves all four models, the planar ones as the N = 1
+# case.  The first block has _BLOCK steps and each later one twice as many as
+# the one before, up to _BLOCK_CAP: the per-block cost of a long orbit falls
+# about 64-fold, while an orbit that stops early computes no more past its
+# stop than the steps it had run, plus _BLOCK
 _BLOCK = 256
+_BLOCK_CAP = 16_384
 # the fixed-point test is only a stopping shortcut, made every this many
 # ball/Siegel steps; planar orbits make it at every step
 _FP_STRIDE = 16
+
+
+def _blocks(n_max: int):
+    """(t, end) of each block of an n_max-step orbit: its steps are t + 1 .. end."""
+    t, size = 0, _BLOCK
+    while t < n_max:
+        end = min(t + size, n_max)
+        yield t, end
+        t, size = end, min(2 * size, _BLOCK_CAP)
 
 
 def iterate(spec, start, n_max: int, policy: StoppingPolicy | None = None) -> Orbit:
@@ -126,6 +139,9 @@ def iterate(spec, start, n_max: int, policy: StoppingPolicy | None = None) -> Or
     whole block first; ``_first_stop`` then finds the block's first step that
     stops the orbit, in the arithmetic of a per-step check, so the orbit is
     the one such a check would give.  Its points are a view of the buffer.
+    Blocks grow from 256 steps, doubling up to 16,384 (``_blocks``), so a
+    long orbit pays for few checks and an orbit that stops after k steps
+    computes at most max(256, 2k) + 256 of them.
 
     Where ``maps._block_fill`` gives a running-sum filler, it fills each
     block in one call; every other map is called once per step, and a
@@ -142,9 +158,7 @@ def iterate(spec, start, n_max: int, policy: StoppingPolicy | None = None) -> Or
     buf = np.empty((n_max + 1,) + np.shape(cur), np.complex128)
     rows = buf.reshape(n_max + 1, -1)  # planar points are the N = 1 case
     buf[0] = cur
-    t = 0
-    while t < n_max:
-        end = min(t + _BLOCK, n_max)
+    for t, end in _blocks(n_max):
         exc = None
         if fill is not None:
             fill(buf[t], buf[t + 1 : end + 1])
@@ -171,7 +185,6 @@ def iterate(spec, start, n_max: int, policy: StoppingPolicy | None = None) -> Or
             return Orbit(spec, spec.model, start, buf[: stop[0]], stop[1])
         if exc is not None:
             raise exc
-        t = end
     return Orbit(spec, spec.model, start, buf, "max_iter")
 
 

@@ -197,6 +197,24 @@ def test_negative_n_max_is_a_config_error(tmp_path, capsys, cfg_n_max, extra):
     assert not (tmp_path / "orbit.csv").exists()
 
 
+_SIEGEL = {"family": "SiegelTranslation", "b": [1.0, 0.0]}
+_OUTSIDE = [[0.1, 0.0], [1.0, 0.0]]  # Re z = 0.1 < ||w||^2 = 1
+
+
+@pytest.mark.parametrize("command, cfg, output", [
+    ("orbit", {"map": _SIEGEL, "start": _OUTSIDE, "n_max": 50}, "orbit.csv"),
+    ("harness", {"n_max": 2000, "suite": [{"map": _SIEGEL, "start": [[1.5, 0.0], [0.2, 0.0]]},
+                                          {"map": _SIEGEL, "start": _OUTSIDE}]}, "harness.csv"),
+    ("conjugate", {"map": {"family": "HalfplaneAffine", "lam": 1.0, "b": [0.0, 1.0]},
+                   "basepoint": [-1.0, 0.0], "checkpoints": [100]}, "conjugation_n100.csv"),
+])
+def test_a_start_outside_the_domain_is_a_config_error(tmp_path, capsys, command, cfg, output):
+    assert run(tmp_path, command, cfg) == cli.EXIT_USAGE
+    model = "halfplane" if command == "conjugate" else "siegel"
+    assert f"config error: start lies outside the {model} domain" in capsys.readouterr().err
+    assert not (tmp_path / output).exists()
+
+
 def test_plot_command_byte_stable(tmp_path):
     cfg = dict(PARABOLIC, n_max=200)
     assert run(tmp_path, "plot", cfg) == 0

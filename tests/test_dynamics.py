@@ -369,8 +369,8 @@ def _siegel(*pts):
     return [np.array(p, np.complex128) for p in pts]
 
 
-# (spec, starts, n_max, stop reasons of the three orbits); no n_max is a
-# multiple of the 256-step check block
+# (spec, starts, n_max, stop reasons of the three orbits); every n_max ends
+# inside a block of the schedule, so each orbit's last block is a short one
 ENGINE_CASES = {
     "siegel": (maps.SiegelTranslation(1.0),
                _siegel([1.0, 0.3], [2.0 + 1.0j, 0.1], [1.5 - 0.5j, -0.1j]), 1000,
@@ -554,15 +554,17 @@ class FaultAtStep:
 
 @pytest.mark.parametrize("model, start", [("siegel", _siegel([1.0, 0.25j])[0]),
                                           ("halfplane", 1.0 + 0.5j)])
-@pytest.mark.parametrize("k", [1, 2, 256, 257, 300])
+@pytest.mark.parametrize("k", [1, 2, 256, 257, 300, 769, 1793, 16129])
 def test_map_error_on_any_step_of_a_block_comes_through(model, start, k):
-    # at k = 1 and 257 the map raises on the first step of a block
+    # at k = 1, 257, 769, 1793 and 16129 the map raises on the first step of a
+    # block, the last three of blocks the schedule has grown
     spec = FaultAtStep(model, k)
     ref = reference_orbit if model == "siegel" else reference_planar_orbit
+    n_max = max(1000, 2 * k)
     with pytest.raises(MapFault, match=f"^fault at step {k}$"):
-        ref(spec, start, 1000)
+        ref(spec, start, n_max)
     with pytest.raises(MapFault, match=f"^fault at step {k}$"):
-        dynamics.iterate(spec, start, 1000)
+        dynamics.iterate(spec, start, n_max)
     if k > 1:  # the orbit up to the step before the fault is the loop's
         _assert_same(dynamics.iterate(spec, start, k - 1), ref(spec, start, k - 1))
 
@@ -695,8 +697,8 @@ class PlanarRaiseBeyond:
         return z + self.b
 
 
-# (spec, start, n_max, stop reason, orbit length or None); no n_max is a
-# multiple of the 256-step check block
+# (spec, start, n_max, stop reason, orbit length or None); every n_max ends
+# inside a block of the schedule, so each orbit's last block is a short one
 PLANAR_CASES = {
     "affine_vertical": (maps.HalfplaneAffine(1.0, 1j), 1.0, 1000, "max_iter", 1001),
     "affine_magnitude": (maps.HalfplaneAffine(1.0, 1e9), 1.0, 1500, "boundary_proximity", 1001),
@@ -1011,7 +1013,7 @@ AFFINE_BLOCK_CASES = {
     "vertical": (1j * np.pi, 1e-3 - 2j, 3000, None, "max_iter", 3001),
     "b_zero": (0j, 2.0 + 1j, 100, None, "interior_fixed_point", 2),
     "b_zero_minus_zero": (0j, _NEG, 100, None, "interior_fixed_point", 2),
-    # 1 + 1000 * 1e9 passes 1e12 at step 1000, inside the fourth 256-step block
+    # 1 + 1000 * 1e9 passes 1e12 at step 1000, inside the third block (steps 769-1500)
     "magnitude_mid_block": (1e9, 1.0, 1500, None, "boundary_proximity", 1001),
     # |Im z| = 334 * 3e7 passes 1e10 at step 334, inside the second block
     "magnitude_policy": (0.75 + 3e7j, 1.0, 2000, StoppingPolicy(max_magnitude=1e10),
@@ -1043,8 +1045,8 @@ def test_affine_translation_block_matches_per_step_calls(name, monkeypatch):
     _assert_same(orbit, ref)
     if name.startswith("overflow"):
         return
-    # one call per 256-step block, for its first step; every stop here keeps its point
-    assert len(calls) == -(-(orbit.length - 1) // 256)
+    # one call per block the orbit enters, for its first step; every stop here keeps its point
+    assert len(calls) == sum(t < orbit.length - 1 for t, _ in dynamics._blocks(n_max))
 
 
 @pytest.mark.parametrize("spec", [
@@ -1055,3 +1057,124 @@ def test_affine_translation_block_matches_per_step_calls(name, monkeypatch):
 ])
 def test_affine_block_only_for_finite_translations(spec):
     assert maps._block_fill(spec, 1.0 + 0j) is None
+
+
+# ---------------------------------------------------------------------------
+# the block schedule: its edges, errors and stops inside grown blocks, and the
+# steps an early stop costs
+
+
+_BLOCK_ENDS = [256, 768, 1792, 3840, 7936, 16128, 32512, 48896, 65280]
+
+
+def test_block_schedule_doubles_from_256_to_16384():
+    blocks = list(dynamics._blocks(100_000))
+    assert [end for _, end in blocks[: len(_BLOCK_ENDS)]] == _BLOCK_ENDS
+    assert blocks[0][0] == 0 and blocks[-1][1] == 100_000
+    for (t, end), (nxt, _) in zip(blocks, blocks[1:]):
+        assert nxt == end and t % 16 == 0
+        # no block runs further past its start than the steps before it, plus 256
+        assert end - t <= min(t + 256, 16_384)
+    assert list(dynamics._blocks(0)) == []
+    assert list(dynamics._blocks(1)) == [(0, 1)]
+
+
+# one step either side of each of the first six block ends, and one step past the seventh
+_SCHEDULE_EDGES = [end + d for end in _BLOCK_ENDS[:6] for d in (-1, 0, 1)] + [32_513]
+
+SCHEDULE_CASES = {
+    "siegel": (maps.SiegelTranslation(1.0), _siegel([1.5 - 0.5j, 0.3])[0]),
+    "heisenberg": (maps.HeisenbergTranslation((0.3 + 0.4j,), 1.0), _siegel([1.5, 0.2 - 0.1j])[0]),
+    "ball_from_siegel": (maps.Conjugated(maps.SiegelTranslation(1.0)), _siegel([0.2 + 0.1j, 0.3])[0]),
+    "affine": (maps.HalfplaneAffine(1.0, 0.5 + 1j), 1.0),
+    "perturbed": (maps.HalfplanePerturbed(1j, 1.0), 2.0 + 1j),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCHEDULE_CASES))
+def test_engine_schedule_edges(name):
+    spec, start = SCHEDULE_CASES[name]
+    ref = reference_planar_orbit if maps.MODELS[spec.model].planar else reference_orbit
+    # the loop runs to max_iter, so its orbit at a smaller n_max is a prefix of this one
+    points, stop = ref(spec, start, _SCHEDULE_EDGES[-1])
+    assert stop == "max_iter" and len(points) == _SCHEDULE_EDGES[-1] + 1
+    for n_max in _SCHEDULE_EDGES:
+        _assert_same(dynamics.iterate(spec, start, n_max), (points[: n_max + 1], "max_iter"))
+
+
+# Re b < 0 lowers the margin by 1 (0.75) a step; from Re z_0 = 1000.5 (5000.5)
+# the orbit leaves at step 1001 (5001), inside the third (fifth) block
+@pytest.mark.parametrize("re0", [1000.5, 5000.5])
+@pytest.mark.parametrize("spec, start", [
+    (maps.SiegelTranslation(-1.0), [0.0, 0.25j]),
+    (Shift("siegel", np.array([-1.0, 0.0])), [0.0, 0.25j]),
+    (maps.HalfplaneAffine(1.0, -0.75), 0.0),
+    (PlanarRaiseBeyond(-1.0, np.inf), 0.0),
+])
+def test_evaluation_error_inside_a_grown_block(spec, start, re0):
+    planar = maps.MODELS[spec.model].planar
+    start = start + re0 if planar else np.array(start, np.complex128) + [re0, 0.0]
+    ref = _evaluation_error(lambda: (reference_planar_orbit if planar else reference_orbit)(
+        spec, start, 10_000))
+    assert 768 < ref[0] <= 7936
+    assert _evaluation_error(lambda: dynamics.iterate(spec, start, 10_000)) == ref
+
+
+_MAGNITUDE_CASES = [
+    (maps.SiegelTranslation(1.0), _siegel([1.0, 0.25j])[0]),
+    (Shift("siegel", np.array([1.0, 0.0])), _siegel([1.0, 0.25j])[0]),
+    (maps.HalfplaneAffine(1.0, 1.0), 1.0),
+    (PlanarRaiseBeyond(1.0, np.inf), 1.0),
+]
+
+
+@pytest.mark.parametrize("k", [768, 769, 16128, 16129])
+@pytest.mark.parametrize("spec, start", _MAGNITUDE_CASES)
+def test_magnitude_stop_at_a_block_end_and_one_step_past(spec, start, k):
+    # z_k = 1 + k is the first point with |z| > k + 0.5
+    policy = StoppingPolicy(max_magnitude=k + 0.5)
+    ref = (reference_planar_orbit if spec.model == "halfplane" else reference_orbit)(
+        spec, start, 20_000, policy)
+    assert ref[1] == "boundary_proximity" and len(ref[0]) == k + 1
+    _assert_same(dynamics.iterate(spec, start, 20_000, policy), ref)
+
+
+# ball/Siegel orbits test for a fixed point only at steps 1, 17, 33, ..., so
+# there the stop falls one step past the block ends 768 and 16128
+@pytest.mark.parametrize("spec, start, ks", [
+    (maps.HalfplaneAffine(0.96), 1.0 + 0.5j, [768, 769, 16128, 16129]),
+    (SiegelDilation(0.96), _siegel([1.5, 0.2j])[0], [769, 16129]),
+])
+def test_fixed_point_stop_at_a_block_end_and_one_step_past(spec, start, ks):
+    # z -> 0.96 z: the displacement falls 4% a step, so a tolerance just
+    # above it at step k stops the orbit there first
+    planar = spec.model == "halfplane"
+    ref_fn = reference_planar_orbit if planar else reference_orbit
+    pts = ref_fn(spec, start, 20_000, StoppingPolicy(fixed_point_tol=0.0))[0]
+    for k in ks:
+        disp = abs(pts[k] - pts[k - 1]) if planar else float(np.abs(pts[k] - pts[k - 1]).max())
+        policy = StoppingPolicy(fixed_point_tol=float(np.nextafter(disp, 1.0)))
+        ref = ref_fn(spec, start, 20_000, policy)
+        assert ref[1] == "interior_fixed_point" and len(ref[0]) == k + 1
+        _assert_same(dynamics.iterate(spec, start, 20_000, policy), ref)
+
+
+@pytest.mark.parametrize("model, start", [("siegel", _siegel([1.0, 0.25j])[0]),
+                                          ("halfplane", 1.0 + 0.5j)])
+@pytest.mark.parametrize("k", [28, 300, 5000])
+def test_early_stop_bounds_the_steps_past_it(monkeypatch, model, start, k):
+    # a flat 16,384-step block would call the map 16,384 times for any of these stops
+    calls = []
+    _count_calls(monkeypatch, FaultAtStep, "__call__", calls)
+    spec = FaultAtStep(model, np.inf)  # z -> z + 1, which never faults
+    orbit = dynamics.iterate(spec, start, 100_000, StoppingPolicy(max_magnitude=k + 0.5))
+    assert orbit.stop_reason == "boundary_proximity" and orbit.length == k + 1
+    assert len(calls) <= max(256, 2 * k) + 256
+
+
+def test_an_orbit_that_stops_in_the_first_block_costs_one_block(monkeypatch):
+    calls = []
+    _count_calls(monkeypatch, maps.DiskMoebius, "__call__", calls)
+    orbit = dynamics.iterate(maps.DiskMoebius(0.5), 0.3j, 100_000)
+    assert orbit.stop_reason == "boundary_proximity" and orbit.length == 28
+    assert len(calls) == 256
