@@ -112,10 +112,10 @@ def _fit_starts(spec, starts):
 
 # the stopping rule runs once per block, vectorized over the block, instead
 # of once per step; this serves all four models, the planar ones as the N = 1
-# case.  The first block has _BLOCK steps and each later one twice as many as
-# the one before, up to _BLOCK_CAP: the per-block cost of a long orbit falls
-# about 64-fold, while an orbit that stops early computes no more past its
-# stop than the steps it had run, plus _BLOCK
+# case.  The first block has _BLOCK steps and each later one twice as many, up
+# to _BLOCK_CAP: a long orbit pays for few rule runs and block fills, while an
+# orbit that stops early computes no more past its stop than the steps it had
+# run, plus _BLOCK
 _BLOCK = 256
 _BLOCK_CAP = 16_384
 # the fixed-point test is only a stopping shortcut, made every this many
@@ -139,9 +139,8 @@ def iterate(spec, start, n_max: int, policy: StoppingPolicy | None = None) -> Or
     whole block first; ``_first_stop`` then finds the block's first step that
     stops the orbit, in the arithmetic of a per-step check, so the orbit is
     the one such a check would give.  Its points are a view of the buffer.
-    Blocks grow from 256 steps, doubling up to 16,384 (``_blocks``), so a
-    long orbit pays for few checks and an orbit that stops after k steps
-    computes at most max(256, 2k) + 256 of them.
+    Blocks grow from 256 steps, doubling up to 16,384 (``_blocks``), so an
+    orbit that stops after k steps computes at most max(256, 2k) + 256.
 
     Where ``maps._block_fill`` gives a running-sum filler, it fills each
     block in one call; every other map is called once per step, and a

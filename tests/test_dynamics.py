@@ -1067,6 +1067,10 @@ def test_affine_block_only_for_finite_translations(spec):
 _BLOCK_ENDS = [256, 768, 1792, 3840, 7936, 16128, 32512, 48896, 65280]
 
 
+def _reference_loop(spec):
+    return reference_planar_orbit if maps.MODELS[spec.model].planar else reference_orbit
+
+
 def test_block_schedule_doubles_from_256_to_16384():
     blocks = list(dynamics._blocks(100_000))
     assert [end for _, end in blocks[: len(_BLOCK_ENDS)]] == _BLOCK_ENDS
@@ -1094,16 +1098,16 @@ SCHEDULE_CASES = {
 @pytest.mark.parametrize("name", sorted(SCHEDULE_CASES))
 def test_engine_schedule_edges(name):
     spec, start = SCHEDULE_CASES[name]
-    ref = reference_planar_orbit if maps.MODELS[spec.model].planar else reference_orbit
     # the loop runs to max_iter, so its orbit at a smaller n_max is a prefix of this one
-    points, stop = ref(spec, start, _SCHEDULE_EDGES[-1])
+    points, stop = _reference_loop(spec)(spec, start, _SCHEDULE_EDGES[-1])
     assert stop == "max_iter" and len(points) == _SCHEDULE_EDGES[-1] + 1
     for n_max in _SCHEDULE_EDGES:
         _assert_same(dynamics.iterate(spec, start, n_max), (points[: n_max + 1], "max_iter"))
 
 
-# Re b < 0 lowers the margin by 1 (0.75) a step; from Re z_0 = 1000.5 (5000.5)
-# the orbit leaves at step 1001 (5001), inside the third (fifth) block
+# Re b < 0 lowers the margin by 1 or 0.75 a step; from Re z_0 = 1000.5 and 5000.5
+# the orbits leave at steps 1001 and 5001 (1334 and 6668 at 0.75 a step),
+# inside the third and the fifth block
 @pytest.mark.parametrize("re0", [1000.5, 5000.5])
 @pytest.mark.parametrize("spec, start", [
     (maps.SiegelTranslation(-1.0), [0.0, 0.25j]),
@@ -1112,29 +1116,23 @@ def test_engine_schedule_edges(name):
     (PlanarRaiseBeyond(-1.0, np.inf), 0.0),
 ])
 def test_evaluation_error_inside_a_grown_block(spec, start, re0):
-    planar = maps.MODELS[spec.model].planar
-    start = start + re0 if planar else np.array(start, np.complex128) + [re0, 0.0]
-    ref = _evaluation_error(lambda: (reference_planar_orbit if planar else reference_orbit)(
-        spec, start, 10_000))
+    start = start + re0 if np.isscalar(start) else np.array(start, np.complex128) + [re0, 0.0]
+    ref = _evaluation_error(lambda: _reference_loop(spec)(spec, start, 10_000))
     assert 768 < ref[0] <= 7936
     assert _evaluation_error(lambda: dynamics.iterate(spec, start, 10_000)) == ref
 
 
-_MAGNITUDE_CASES = [
+@pytest.mark.parametrize("k", [768, 769, 16128, 16129])
+@pytest.mark.parametrize("spec, start", [
     (maps.SiegelTranslation(1.0), _siegel([1.0, 0.25j])[0]),
     (Shift("siegel", np.array([1.0, 0.0])), _siegel([1.0, 0.25j])[0]),
     (maps.HalfplaneAffine(1.0, 1.0), 1.0),
     (PlanarRaiseBeyond(1.0, np.inf), 1.0),
-]
-
-
-@pytest.mark.parametrize("k", [768, 769, 16128, 16129])
-@pytest.mark.parametrize("spec, start", _MAGNITUDE_CASES)
+])
 def test_magnitude_stop_at_a_block_end_and_one_step_past(spec, start, k):
     # z_k = 1 + k is the first point with |z| > k + 0.5
     policy = StoppingPolicy(max_magnitude=k + 0.5)
-    ref = (reference_planar_orbit if spec.model == "halfplane" else reference_orbit)(
-        spec, start, 20_000, policy)
+    ref = _reference_loop(spec)(spec, start, 20_000, policy)
     assert ref[1] == "boundary_proximity" and len(ref[0]) == k + 1
     _assert_same(dynamics.iterate(spec, start, 20_000, policy), ref)
 
@@ -1148,11 +1146,11 @@ def test_magnitude_stop_at_a_block_end_and_one_step_past(spec, start, k):
 def test_fixed_point_stop_at_a_block_end_and_one_step_past(spec, start, ks):
     # z -> 0.96 z: the displacement falls 4% a step, so a tolerance just
     # above it at step k stops the orbit there first
-    planar = spec.model == "halfplane"
-    ref_fn = reference_planar_orbit if planar else reference_orbit
+    ref_fn = _reference_loop(spec)
     pts = ref_fn(spec, start, 20_000, StoppingPolicy(fixed_point_tol=0.0))[0]
     for k in ks:
-        disp = abs(pts[k] - pts[k - 1]) if planar else float(np.abs(pts[k] - pts[k - 1]).max())
+        d = pts[k] - pts[k - 1]  # each loop's displacement, in its own arithmetic
+        disp = abs(complex(d)) if np.ndim(d) == 0 else float(np.abs(d).max())
         policy = StoppingPolicy(fixed_point_tol=float(np.nextafter(disp, 1.0)))
         ref = ref_fn(spec, start, 20_000, policy)
         assert ref[1] == "interior_fixed_point" and len(ref[0]) == k + 1
