@@ -16,7 +16,7 @@ Config schema (all keys optional unless a command needs them)::
       "kind": "pommerenke",           # or "baker_pommerenke" (conjugate command)
       "seed": 0,
       "plot": {"marker_size": 2.0, "tail_highlight": 0, "title": ""},
-      "tolerances": {"tol_c": 1e-3, "tol_dw": 1e-4, "tol_step": 1e-3},
+      "tolerances": {"tol_c": 1e-3, "tol_step": 1e-3},   # any Budgets threshold
       "suite": [{"map": {...}, "start": [1.0, 0.0]}, ...]   # harness command
     }
 
@@ -26,6 +26,7 @@ CSV output is comma-delimited with '.' decimals and 17 significant digits.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -59,8 +60,8 @@ def write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _parse_point(v, model: str):
-    """The config point v of the model; a point outside its domain is a config error."""
+def _parse_point(v, model: str, key: str):
+    """The config point v of the model; a point outside its domain is a config error naming key."""
     if isinstance(v, (int, float)):
         v = [v, 0.0]
     m = maps.MODELS[model]
@@ -73,7 +74,7 @@ def _parse_point(v, model: str):
             v = [v]
         p = np.array([complex(c[0], c[1]) for c in v], np.complex128)
     if not m.contains(p):
-        raise ValueError(f"start lies outside the {model} domain")
+        raise ValueError(f"{key} lies outside the {model} domain")
     return p
 
 
@@ -90,20 +91,26 @@ def _spec(cfg: dict):
 
 def _starts(cfg: dict, spec):
     if "starts" in cfg:
-        return [_parse_point(s, spec.model) for s in cfg["starts"]]
+        return [_parse_point(s, spec.model, f"starts[{i}]") for i, s in enumerate(cfg["starts"])]
     if "start" in cfg:
-        return [_parse_point(cfg["start"], spec.model)]
+        return [_parse_point(cfg["start"], spec.model, "start")]
     return dynamics._fit_starts(spec, dynamics.default_starts(spec.model))
 
 
 def _budgets(cfg: dict, args) -> dynamics.Budgets:
-    """Budgets with the config's n_max (--n-max first) and the three tolerances it may set."""
-    tol = cfg.get("tolerances", {})
+    """Budgets with the config's n_max (--n-max first) and the thresholds its tolerances set.
+
+    Every Budgets field but n_max is a threshold; any other tolerances key is a config error.
+    """
+    tol = dict(cfg.get("tolerances", {}))
+    names = [f.name for f in dataclasses.fields(dynamics.Budgets) if f.name != "n_max"]
+    unknown = sorted(set(tol) - set(names))
+    if unknown:
+        raise ValueError(f"unknown tolerances {unknown}; the thresholds are {names}")
     n_max = int(args.n_max if args.n_max is not None else cfg.get("n_max", dynamics.Budgets.n_max))
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    return dynamics.Budgets(n_max=n_max, **{
-        k: float(tol[k]) for k in ("tol_c", "tol_dw", "tol_step") if k in tol})
+    return dynamics.Budgets(n_max=n_max, **{k: float(v) for k, v in tol.items()})
 
 
 def _first_orbit(cfg: dict, budgets: dynamics.Budgets):
@@ -190,8 +197,9 @@ def cmd_steps(cfg, args) -> int:
 
 
 def cmd_approach(cfg, args) -> int:
-    orbit = _first_orbit(cfg, _budgets(cfg, args))
-    ap = diagnostics.approach_report(orbit)
+    budgets = _budgets(cfg, args)
+    orbit = _first_orbit(cfg, budgets)
+    ap = diagnostics.approach_report(orbit, budgets=budgets)
     rq = diagnostics.radial_quotient_series(orbit)
     special, koranyi, nt = diagnostics._orbit_series(orbit, ap.X)[:3]
     # np.hypot rounds as the scalar abs does; the array abs can differ in the last bit
@@ -210,7 +218,7 @@ def cmd_conjugate(cfg, args) -> int:
     spec = _spec(cfg)
     kind = cfg.get("kind", "pommerenke")
     checkpoints = tuple(cfg.get("checkpoints", conjugation.DEFAULT_CHECKPOINTS))
-    basepoint = _parse_point(cfg.get("basepoint", [1.0, 0.0]), "halfplane")
+    basepoint = _parse_point(cfg.get("basepoint", [1.0, 0.0]), "halfplane", "basepoint")
     fn = (
         conjugation.pommerenke_normalized
         if kind == "pommerenke"
@@ -233,9 +241,9 @@ def cmd_harness(cfg, args) -> int:
     suite = None
     if "suite" in cfg:
         suite = []
-        for case in cfg["suite"]:
+        for i, case in enumerate(cfg["suite"]):
             spec = maps.spec_from_dict(case["map"])
-            suite.append((spec, _parse_point(case["start"], spec.model)))
+            suite.append((spec, _parse_point(case["start"], spec.model, f"suite[{i}].start")))
     else:
         suite = diagnostics.default_harness_suite(seed=args.seed)
     rep = diagnostics.theorem_harness(suite, budgets)

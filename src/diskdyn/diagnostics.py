@@ -36,7 +36,8 @@ __all__ = [
     "default_harness_suite",
 ]
 
-# the share of the approach and radial series that their tail statistics read
+# the share of the approach and radial series that their tail statistics read;
+# approach_report and the harness compute those series on that tail alone
 _TAIL_FRACTION = 0.2
 # a restricted harness row fails when the radial quotient's tail mean is this far from 1
 _TOL_RADIAL = 1e-2
@@ -77,11 +78,15 @@ class ApproachReport:
         return True
 
 
-def _orbit_series(orbit: Orbit, X):
-    """(special, koranyi, nt, angle, euclid_nt, boundary_dist); _resolve_vertex checked X."""
+def _orbit_series(orbit: Orbit, X, points=None):
+    """(special, koranyi, nt, angle, euclid_nt, boundary_dist) on points (default: the orbit's).
+
+    _resolve_vertex checked X.
+    """
+    points = orbit.points if points is None else points
     if MODELS[orbit.model].unbounded:
-        return geometry.approach_series_siegel(orbit.points)
-    return geometry.approach_series_ball(orbit.points, X.X)
+        return geometry.approach_series_siegel(points)
+    return geometry.approach_series_ball(points, X.X)
 
 
 def _resolve_vertex(orbit: Orbit, X) -> BoundaryPoint:
@@ -100,20 +105,25 @@ def _resolve_vertex(orbit: Orbit, X) -> BoundaryPoint:
 
 
 def approach_report(orbit: Orbit, X=None, budgets: Budgets | None = None) -> ApproachReport:
-    """Koranyi / special / restricted flags: tail statistics against tol_ratio and m_cap."""
+    """Koranyi / special / restricted flags: tail statistics against tol_ratio and m_cap.
+
+    The series are computed on the last k = max(2, round(_TAIL_FRACTION n)) of the
+    n orbit points only, the part the statistics read.  They are formed row by
+    row, so they equal the tail of the whole-orbit series bit for bit.
+    """
     budgets = budgets or Budgets()
     X = _resolve_vertex(orbit, X)
-    special, koranyi, nt, angle, euclid, bdist = _orbit_series(orbit, X)
-    n = special.size
+    n = orbit.length
     if n < _MIN_APPROACH:
         raise PreconditionError("orbit too short for approach statistics")
     k = max(2, int(round(n * _TAIL_FRACTION)))
-    if not (bdist[-1] < bdist[-k] or bdist[-1] < 1e-9) or bdist[-1] > 0.5:
+    special, koranyi, nt, angle, euclid, bdist = _orbit_series(orbit, X, orbit.points[-k:])
+    if not (bdist[-1] < bdist[0] or bdist[-1] < 1e-9) or bdist[-1] > 0.5:
         raise PreconditionError("orbit does not converge to the vertex X")
-    ko_sup = float(koranyi[-k:].max())
-    sp_mean = float(special[-k:].mean())
-    nt_max = float(nt[-k:].max())
-    eu_max = float(euclid[-k:].max())
+    ko_sup = float(koranyi.max())
+    sp_mean = float(special.mean())
+    nt_max = float(nt.max())
+    eu_max = float(euclid.max())
     is_special = sp_mean < budgets.tol_ratio
     is_restricted = is_special and nt_max < budgets.m_cap
     in_koranyi = ko_sup < budgets.m_cap
@@ -123,7 +133,7 @@ def approach_report(orbit: Orbit, X=None, budgets: Budgets | None = None) -> App
         ko_sup,
         sp_mean,
         nt_max,
-        float(angle[-k:].max()),
+        float(angle.max()),
         eu_max,
         is_special,
         is_restricted,
@@ -135,10 +145,14 @@ def approach_report(orbit: Orbit, X=None, budgets: Budgets | None = None) -> App
 
 def radial_quotient_series(orbit: Orbit, X=None) -> np.ndarray:
     """(1 - <Z_{n+1}, X>)/(1 - <Z_n, X>); tends to 1 for restricted parabolic orbits."""
-    X = _resolve_vertex(orbit, X)
+    return _radial_series(orbit, _resolve_vertex(orbit, X), orbit.points)
+
+
+def _radial_series(orbit: Orbit, X, points) -> np.ndarray:
+    """The radial quotient on points; _resolve_vertex checked X."""
     if MODELS[orbit.model].unbounded:
-        return geometry.radial_quotient_series_siegel(orbit.points)
-    return geometry.radial_quotient_series_ball(orbit.points, X.X)
+        return geometry.radial_quotient_series_siegel(points)
+    return geometry.radial_quotient_series_ball(points, X.X)
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +247,10 @@ def theorem_harness(
             continue
         ap = approach_report(orbit, budgets=budgets)
         st = step_series(orbit, budgets)
-        rq = radial_quotient_series(orbit)
-        k = max(1, int(round(rq.size * _TAIL_FRACTION)))
-        radial_dev = float(np.mean(np.abs(rq[-k:] - 1.0)))
+        # the radial quotient of the last k + 1 points: the k quotients the tail mean reads
+        k = max(1, int(round((orbit.length - 1) * _TAIL_FRACTION)))
+        rq = _radial_series(orbit, ap.X, orbit.points[-k - 1:])
+        radial_dev = float(np.mean(np.abs(rq - 1.0)))
         checks = [  # (whether the row fails the check, its note)
             (st.verdict == "inconclusive", "step verdict inconclusive; raise the budget"),
             (ap.is_restricted and st.verdict != "zero_step",

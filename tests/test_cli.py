@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 from dataclasses import dataclass
@@ -79,6 +80,35 @@ def test_approach_command(tmp_path):
     header, rows = read_csv(tmp_path / "approach.csv")
     assert header[-4:] == ["koranyi_q", "special_ratio", "nt_q", "radial_q"]
     assert float(rows[10][-3]) < 1e-2  # special ratio decays
+
+
+_APPROACH = {"map": {"family": "SiegelTranslation", "b": [1.0, 0.0]},
+             "start": [[1.0, 0.0], [0.3, 0.0]], "n_max": 2000}
+
+
+def test_approach_reads_every_budgets_threshold(tmp_path, capsys):
+    assert run(tmp_path, "approach", _APPROACH) == 0
+    default = capsys.readouterr().out
+    assert "special=True restricted=True in_koranyi=True" in default
+    # the Koranyi quotient is at least 1 and the special ratio is positive off w = 0
+    tight = dict(_APPROACH, tolerances={"m_cap": 0.5, "tol_ratio": 1e-30})
+    assert run(tmp_path, "approach", tight) == 0
+    flags = capsys.readouterr().out
+    assert "special=False restricted=False in_koranyi=False nontangential=False" in flags
+    assert "koranyi_M=inf" in flags
+    every = {f.name: getattr(dynamics.Budgets(), f.name)
+             for f in dataclasses.fields(dynamics.Budgets) if f.name != "n_max"}
+    assert run(tmp_path, "approach", dict(_APPROACH, tolerances=every)) == 0
+    assert capsys.readouterr().out == default
+
+
+@pytest.mark.parametrize("tolerances", [{"bogus": 1}, {"tol_step": 1e-3, "n_max": 10}])
+def test_an_unknown_tolerance_is_a_config_error(tmp_path, capsys, tolerances):
+    assert run(tmp_path, "approach", dict(_APPROACH, tolerances=tolerances)) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "config error: unknown tolerances" in err
+    assert "tol_ratio" in err and "m_cap" in err  # the message lists the thresholds
+    assert not (tmp_path / "approach.csv").exists()
 
 
 def test_conjugate_command(tmp_path):
@@ -211,8 +241,16 @@ _OUTSIDE = [[0.1, 0.0], [1.0, 0.0]]  # Re z = 0.1 < ||w||^2 = 1
 def test_a_start_outside_the_domain_is_a_config_error(tmp_path, capsys, command, cfg, output):
     assert run(tmp_path, command, cfg) == cli.EXIT_USAGE
     model = "halfplane" if command == "conjugate" else "siegel"
-    assert f"config error: start lies outside the {model} domain" in capsys.readouterr().err
+    key = {"orbit": "start", "harness": "suite[1].start", "conjugate": "basepoint"}[command]
+    assert f"config error: {key} lies outside the {model} domain" in capsys.readouterr().err
     assert not (tmp_path / output).exists()
+
+
+def test_an_outside_point_of_a_starts_list_is_named_by_its_index(tmp_path, capsys):
+    cfg = {"map": _SIEGEL, "starts": [[[1.5, 0.0], [0.2, 0.0]], _OUTSIDE], "n_max": 50}
+    assert run(tmp_path, "orbit", cfg) == cli.EXIT_USAGE
+    assert "config error: starts[1] lies outside the siegel domain" in capsys.readouterr().err
+    assert not (tmp_path / "orbit.csv").exists()
 
 
 def test_plot_command_byte_stable(tmp_path):

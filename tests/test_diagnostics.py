@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from diskdyn import diagnostics, dynamics, maps
+from diskdyn import diagnostics, dynamics, geometry, maps
 from diskdyn.dynamics import Budgets
 from diskdyn.errors import PreconditionError
 from diskdyn.geometry import BoundaryPoint
@@ -237,3 +237,124 @@ def test_probe_default_starts_in_the_disk_and_the_ball(spec, verdict):
     assert len(rep.starts) == 5
     assert rep.flag == "CONSISTENT"
     assert set(rep.verdicts) == {verdict}
+
+
+# ---------------------------------------------------------------------------
+# the approach and radial series are computed on the tail their statistics read
+
+
+def _recording(monkeypatch, names):
+    """Replace geometry.<name> by a wrapper that records how many rows it is given."""
+    seen = {name: [] for name in names}
+    for name in names:
+        real = getattr(geometry, name)
+
+        def recorded(P, *args, _real=real, _seen=seen[name]):
+            _seen.append(len(P))
+            return _real(P, *args)
+
+        monkeypatch.setattr(geometry, name, recorded)
+    return seen
+
+
+def test_approach_and_radial_series_read_only_the_tail(monkeypatch):
+    seen = _recording(monkeypatch, ["approach_series_siegel", "radial_quotient_series_siegel"])
+    orb = siegel_orbit(maps.SiegelTranslation(1.0), [1.0, 0.3], 100_000)
+    assert orb.length == 100_001
+    diagnostics.approach_report(orb)
+    assert seen == {"approach_series_siegel": [20_000], "radial_quotient_series_siegel": []}
+    seen["approach_series_siegel"].clear()
+    suite = [(maps.SiegelTranslation(1.0), np.array([1.0, 0.3], np.complex128))]
+    rep = diagnostics.theorem_harness(suite, Budgets(n_max=100_000))
+    assert rep.n_passed == 1
+    assert seen == {"approach_series_siegel": [20_000],
+                    "radial_quotient_series_siegel": [20_001]}
+
+
+def _siegel_points(N, n=400, seed=0):
+    """An n-point Siegel orbit at dimension N whose w moves when N > 1."""
+    rng = np.random.default_rng(seed)
+    w = 0.3 * (rng.standard_normal(N - 1) + 1j * rng.standard_normal(N - 1))
+    start = np.concatenate(([1.0 + np.sum(np.abs(w) ** 2) + rng.uniform(0.1, 1.0)], w))
+    spec = (maps.HeisenbergTranslation(tuple(0.2 * w), 0.5) if N > 1
+            else maps.SiegelTranslation(1.0 + 0.5j))
+    return dynamics.iterate(spec, start.astype(np.complex128), n - 1).points
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 5])
+def test_the_series_of_a_tail_is_the_tail_of_the_series(N):
+    P = _siegel_points(N)
+    n = len(P)
+    assert n == 400
+    B = geometry.siegel_to_ball_array(P)
+    rng = np.random.default_rng(N)
+    x = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    vertices = [BoundaryPoint.e1(N).X, x / np.linalg.norm(x)]
+    approach = [(geometry.approach_series_siegel, P, ())]
+    approach += [(geometry.approach_series_ball, B, (X,)) for X in vertices]
+    radial = [(geometry.radial_quotient_series_siegel, P, ())]
+    radial += [(geometry.radial_quotient_series_ball, B, (X,)) for X in vertices]
+    for k in (2, 3, 17, n):
+        for fn, pts, args in approach:
+            for whole, tail in zip(fn(pts, *args), fn(pts[-k:], *args)):
+                assert tail.shape == (k,)
+                assert np.array_equal(tail, whole[-k:]), (fn.__name__, k)
+        for fn, pts, args in radial:
+            whole, tail = fn(pts, *args), fn(pts[-k:], *args)
+            assert tail.shape == (k - 1,)
+            assert np.array_equal(tail, whole[len(whole) - (k - 1):]), (fn.__name__, k)
+
+
+def _whole_orbit_report(orbit, X, budgets):
+    """approach_report as computed from the whole-orbit series, with the harness's radial_dev."""
+    X = diagnostics._resolve_vertex(orbit, X)
+    special, koranyi, nt, angle, euclid, bdist = diagnostics._orbit_series(orbit, X)
+    k = max(2, int(round(special.size * 0.2)))
+    assert bdist[-1] < bdist[-k] and bdist[-1] <= 0.5
+    ko_sup, sp_mean = float(koranyi[-k:].max()), float(special[-k:].mean())
+    nt_max, eu_max = float(nt[-k:].max()), float(euclid[-k:].max())
+    is_special = sp_mean < budgets.tol_ratio
+    in_koranyi = ko_sup < budgets.m_cap
+    report = diagnostics.ApproachReport(
+        X, ko_sup, sp_mean, nt_max, float(angle[-k:].max()), eu_max, is_special,
+        is_special and nt_max < budgets.m_cap, in_koranyi, eu_max < budgets.m_cap,
+        ko_sup if in_koranyi else float("inf"))
+    rq = diagnostics.radial_quotient_series(orbit, X)
+    k = max(1, int(round(rq.size * 0.2)))
+    return report, float(np.mean(np.abs(rq[-k:] - 1.0)))
+
+
+def _same_report(new, old):
+    assert new.X.at_infinity == old.X.at_infinity
+    if not old.X.at_infinity:
+        assert np.array_equal(new.X.X, old.X.X)
+    for f in dataclasses.fields(diagnostics.ApproachReport):
+        if f.name != "X":
+            assert getattr(new, f.name) == getattr(old, f.name), f.name
+
+
+def test_tail_statistics_equal_the_whole_orbit_ones_on_the_default_suite():
+    budgets = Budgets()
+    first = {}  # every distinct spec of the suite, at its first start
+    for spec, start in diagnostics.default_harness_suite(0):
+        first.setdefault(spec, start)
+    assert len(first) == 23
+    rep = diagnostics.theorem_harness(list(first.items()), budgets)
+    assert rep.n_skipped == 0
+    for row, (spec, start) in zip(rep.rows, first.items()):
+        orbit = dynamics.iterate(spec, start, budgets.n_max)
+        old, radial_dev = _whole_orbit_report(orbit, None, budgets)
+        _same_report(row.approach, old)
+        _same_report(diagnostics.approach_report(orbit, budgets=budgets), old)
+        assert row.radial_dev == radial_dev
+
+
+def test_tail_statistics_equal_the_whole_orbit_ones_on_a_ball_orbit():
+    orbit = dynamics.iterate(maps.Conjugated(maps.SiegelTranslation(1.0)),
+                             np.array([0.0, 0.1], np.complex128), 20_000)
+    X = BoundaryPoint.e1(2)
+    old, radial_dev = _whole_orbit_report(orbit, X, Budgets())
+    _same_report(diagnostics.approach_report(orbit, X), old)
+    k = max(1, int(round((orbit.length - 1) * 0.2)))
+    rq = diagnostics._radial_series(orbit, X, orbit.points[-k - 1:])
+    assert float(np.mean(np.abs(rq - 1.0))) == radial_dev
