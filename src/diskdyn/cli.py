@@ -14,7 +14,6 @@ Config schema (all keys optional unless a command needs them)::
       "checkpoints": [100, 1000, 10000],
       "basepoint": [1.0, 0.0],
       "kind": "pommerenke",           # or "baker_pommerenke" (conjugate command)
-      "seed": 0,
       "plot": {"marker_size": 2.0, "tail_highlight": 0, "title": ""},
       "tolerances": {"tol_c": 1e-3, "tol_step": 1e-3},   # any Budgets threshold
       "suite": [{"map": {...}, "start": [1.0, 0.0]}, ...]   # harness command
@@ -201,7 +200,7 @@ def cmd_approach(cfg, args) -> int:
     orbit = _first_orbit(cfg, budgets)
     ap = diagnostics.approach_report(orbit, budgets=budgets)
     rq = diagnostics.radial_quotient_series(orbit)
-    special, koranyi, nt = diagnostics._orbit_series(orbit, ap.X)[:3]
+    special, koranyi, nt = maps.MODELS[orbit.model].approach_series(orbit.points, ap.X.X)[:3]
     # np.hypot rounds as the scalar abs does; the array abs can differ in the last bit
     header, lines = _orbit_rows(orbit, koranyi, special, nt, np.hypot(rq.real, rq.imag))
     header += ["koranyi_q", "special_ratio", "nt_q", "radial_q"]
@@ -216,15 +215,15 @@ def cmd_approach(cfg, args) -> int:
 
 def cmd_conjugate(cfg, args) -> int:
     spec = _spec(cfg)
+    kinds = {"pommerenke": conjugation.pommerenke_normalized,
+             "baker_pommerenke": conjugation.baker_pommerenke_normalized}
     kind = cfg.get("kind", "pommerenke")
+    if kind not in kinds:
+        raise ValueError(f"unknown kind {kind!r}; the kinds are {sorted(kinds)}")
+    _budgets(cfg, args)  # checked only: the conjugations keep their default precheck
     checkpoints = tuple(cfg.get("checkpoints", conjugation.DEFAULT_CHECKPOINTS))
     basepoint = _parse_point(cfg.get("basepoint", [1.0, 0.0]), "halfplane", "basepoint")
-    fn = (
-        conjugation.pommerenke_normalized
-        if kind == "pommerenke"
-        else conjugation.baker_pommerenke_normalized
-    )
-    res = fn(spec, basepoint=basepoint, checkpoints=checkpoints)
+    res = kinds[kind](spec, basepoint=basepoint, checkpoints=checkpoints)
     for n in res.checkpoints:
         header = ["re_g", "im_g", "re_psi", "im_psi"]
         cols = [v.tolist() for c in (res.grid, res.psi_n[n]) for v in (c.real, c.imag)]

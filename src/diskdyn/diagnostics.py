@@ -6,9 +6,9 @@ tail mean drops below ``tol_ratio`` and "bounded" when its tail maximum stays
 below ``m_cap``.  The thresholds are ``Budgets`` fields or the named constants
 below, not claims of proof.
 
-Orbits native to the Siegel model are analyzed in Siegel coordinates through
-the exact identities in :mod:`diskdyn.geometry`; ball-native orbits use the
-definitional formulas with a general vertex X.
+Half-plane and Siegel orbits are analyzed at infinity through the exact
+identities in :mod:`diskdyn.geometry`; disk and ball orbits use the definitional
+formulas with a given vertex X.  The planar models are the N = 1 case.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import geometry, maps
+from . import maps
 from .dynamics import (
     _PRECHECK_N, Budgets, Orbit, _fit_starts, _require_parabolic, classify, iterate, step_series,
 )
@@ -78,29 +78,17 @@ class ApproachReport:
         return True
 
 
-def _orbit_series(orbit: Orbit, X, points=None):
-    """(special, koranyi, nt, angle, euclid_nt, boundary_dist) on points (default: the orbit's).
-
-    _resolve_vertex checked X.
-    """
-    points = orbit.points if points is None else points
-    if MODELS[orbit.model].unbounded:
-        return geometry.approach_series_siegel(points)
-    return geometry.approach_series_ball(points, X.X)
-
-
-def _resolve_vertex(orbit: Orbit, X) -> BoundaryPoint:
-    model = MODELS[orbit.model]
-    if model.planar:
-        raise PreconditionError("approach analysis needs a ball or Siegel orbit")
+def _resolve_vertex(model: str, X) -> BoundaryPoint:
+    """The vertex an orbit of the model is read at: infinity if unbounded, else the given X."""
+    unbounded = MODELS[model].unbounded
     if X is None:
-        if model.unbounded:
+        if unbounded:
             return BoundaryPoint.infinity()
-        raise PreconditionError("ball orbits need an explicit vertex X")
+        raise PreconditionError("disk and ball orbits need an explicit vertex X")
     if not isinstance(X, BoundaryPoint):
         X = BoundaryPoint(np.asarray(X, np.complex128))
-    if model.unbounded and not X.at_infinity:
-        raise PreconditionError("Siegel orbits are analyzed at the vertex infinity")
+    if unbounded and not X.at_infinity:
+        raise PreconditionError("half-plane and Siegel orbits are analyzed at the vertex infinity")
     return X
 
 
@@ -112,12 +100,13 @@ def approach_report(orbit: Orbit, X=None, budgets: Budgets | None = None) -> App
     row, so they equal the tail of the whole-orbit series bit for bit.
     """
     budgets = budgets or Budgets()
-    X = _resolve_vertex(orbit, X)
+    X = _resolve_vertex(orbit.model, X)
     n = orbit.length
     if n < _MIN_APPROACH:
         raise PreconditionError("orbit too short for approach statistics")
     k = max(2, int(round(n * _TAIL_FRACTION)))
-    special, koranyi, nt, angle, euclid, bdist = _orbit_series(orbit, X, orbit.points[-k:])
+    special, koranyi, nt, angle, euclid, bdist = MODELS[orbit.model].approach_series(
+        orbit.points[-k:], X.X)
     if not (bdist[-1] < bdist[0] or bdist[-1] < 1e-9) or bdist[-1] > 0.5:
         raise PreconditionError("orbit does not converge to the vertex X")
     ko_sup = float(koranyi.max())
@@ -145,14 +134,7 @@ def approach_report(orbit: Orbit, X=None, budgets: Budgets | None = None) -> App
 
 def radial_quotient_series(orbit: Orbit, X=None) -> np.ndarray:
     """(1 - <Z_{n+1}, X>)/(1 - <Z_n, X>); tends to 1 for restricted parabolic orbits."""
-    return _radial_series(orbit, _resolve_vertex(orbit, X), orbit.points)
-
-
-def _radial_series(orbit: Orbit, X, points) -> np.ndarray:
-    """The radial quotient on points; _resolve_vertex checked X."""
-    if MODELS[orbit.model].unbounded:
-        return geometry.radial_quotient_series_siegel(points)
-    return geometry.radial_quotient_series_ball(points, X.X)
+    return MODELS[orbit.model].radial_series(orbit.points, _resolve_vertex(orbit.model, X).X)
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +203,11 @@ def theorem_harness(
     two extra checks: non-zero-step rows must be non-restricted, and
     restricted rows must have radial quotient within _TOL_RADIAL of 1.
     Inconclusive step verdicts fail the row.  A row is skipped, with the reason
-    as its note, when its spec is not parabolic, when it is planar (the
-    approach analysis reads ball and Siegel orbits) or when its orbit is too
-    short for the approach statistics; any other PreconditionError is raised.
+    as its note, when its spec is not parabolic, when it has no vertex to read
+    the approach at (a disk or ball row) or when its orbit is too short for the
+    approach statistics; any other PreconditionError is raised.  Half-plane rows
+    are the N = 1 case: with no w the special ratio is 0, so restricted means
+    non-tangential, and the check is the one-variable theorem.
     Specs are classified at classify_n_max steps and budgets' tolerances, rows run on budgets.
     """
     budgets = budgets or Budgets()
@@ -236,11 +220,15 @@ def theorem_harness(
         rep = reports[spec]
         if rep.type != "parabolic":
             skip = "classification is not parabolic"
-        elif MODELS[spec.model].planar:
-            skip = "approach analysis needs a ball or Siegel orbit"
         else:
-            orbit = iterate(spec, start, budgets.n_max)
-            skip = "orbit too short for approach statistics" if orbit.length < _MIN_APPROACH else ""
+            try:
+                _resolve_vertex(spec.model, None)
+            except PreconditionError as exc:  # a disk or ball row: no vertex to read at
+                skip = str(exc)
+            else:
+                orbit = iterate(spec, start, budgets.n_max)
+                short = orbit.length < _MIN_APPROACH
+                skip = "orbit too short for approach statistics" if short else ""
         if skip:
             rows.append(HarnessRow(label, start, rep.type, None, None, None, None, None,
                                    False, True, skip))
@@ -249,7 +237,7 @@ def theorem_harness(
         st = step_series(orbit, budgets)
         # the radial quotient of the last k + 1 points: the k quotients the tail mean reads
         k = max(1, int(round((orbit.length - 1) * _TAIL_FRACTION)))
-        rq = _radial_series(orbit, ap.X, orbit.points[-k - 1:])
+        rq = MODELS[spec.model].radial_series(orbit.points[-k - 1:], ap.X.X)
         radial_dev = float(np.mean(np.abs(rq - 1.0)))
         checks = [  # (whether the row fails the check, its note)
             (st.verdict == "inconclusive", "step verdict inconclusive; raise the budget"),

@@ -15,10 +15,10 @@ sphere.
 ``MODELS`` maps each model's name to its ``Model`` record, which the other
 modules read instead of branching on the name: whether the model is unbounded
 and planar, its starts, its point coercion and domain margin, its side of the
-Cayley pair, its metric and its step and gap series.  Each quantity has one
-formula, on the ball or the Siegel side, whose N = 1 case is the planar one;
-the metric ``pdist`` is the step series of a two-point orbit, and ``_margin``
-is the margin of a point, of an orbit block and of the step series' points.
+Cayley pair, its metric and its step, gap, approach and radial series.  Each
+quantity has one formula, on the ball or the Siegel side, whose N = 1 case is
+the planar one; the metric ``pdist`` is the step series of a two-point orbit,
+``_margin`` the margin of a point, of an orbit block and of the step series.
 
 The step d(p_n, p_{n+1}) is formed from the step itself (``step_series_siegel``,
 ``step_series_ball``), never as sqrt(1 - (product of margins)/|cross|^2), which
@@ -523,6 +523,16 @@ class Model:
     def gap_series(self, pts) -> np.ndarray:
         """1 - ||Z_n|| along an orbit of the model; planar orbits are the N = 1 case."""
         return (boundary_gap_series_siegel if self.unbounded else boundary_gap_series_ball)(pts)
+
+    def approach_series(self, pts, X) -> tuple:
+        """The approach quotients along an orbit at X, or at infinity if unbounded (X unused)."""
+        return approach_series_siegel(pts) if self.unbounded else approach_series_ball(pts, X)
+
+    def radial_series(self, pts, X) -> np.ndarray:
+        """The radial quotient along an orbit, at X as approach_series reads it."""
+        if self.unbounded:
+            return radial_quotient_series_siegel(pts)
+        return radial_quotient_series_ball(pts, X)
 
 
 class _Table(dict):

@@ -501,14 +501,17 @@ def spec_to_dict(spec) -> dict:
 
 
 def spec_from_dict(d: dict):
-    """The spec of a spec_to_dict dict; a missing optional key takes its default."""
+    """A spec_to_dict dict's spec; a missing optional key takes its default, an unknown key raises."""
     fam = d.get("family")
     if fam not in FAMILIES:
         raise ModelMismatchError(f"unknown family {fam!r}")
+    params = {_KEYS.get(f.name, f.name): f for f in fields(FAMILIES[fam]) if f.init}
+    unknown = sorted(set(d) - set(params) - {"family"})
+    if unknown:
+        raise ModelMismatchError(f"{fam} has no parameter {unknown}; it has {sorted(params)}")
     kwargs = {}
-    for f in fields(FAMILIES[fam]):
-        key = _KEYS.get(f.name, f.name)
+    for key, f in params.items():
         required = f.default is MISSING and f.default_factory is MISSING
-        if f.init and (key in d or required):  # a missing required key raises KeyError
+        if key in d or required:  # a missing required key raises KeyError
             kwargs[f.name] = _decode(f.type, d[key])
     return FAMILIES[fam](**kwargs)

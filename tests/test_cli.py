@@ -82,6 +82,17 @@ def test_approach_command(tmp_path):
     assert float(rows[10][-3]) < 1e-2  # special ratio decays
 
 
+def test_approach_command_on_a_half_plane_config(tmp_path, capsys):
+    # z -> z + 1 from 1 runs along the real axis: read at infinity, it is restricted
+    cfg = {"map": {"family": "HalfplaneAffine", "lam": 1.0, "b": [1.0, 0.0]},
+           "start": [1.0, 0.0], "n_max": 2000}
+    assert run(tmp_path, "approach", cfg) == 0
+    assert "special=True restricted=True" in capsys.readouterr().out
+    header, rows = read_csv(tmp_path / "approach.csv")
+    assert header == ["n", "re", "im", "koranyi_q", "special_ratio", "nt_q", "radial_q"]
+    assert len(rows) == 2001 and {r[4] for r in rows} == {"0"}
+
+
 _APPROACH = {"map": {"family": "SiegelTranslation", "b": [1.0, 0.0]},
              "start": [[1.0, 0.0], [0.3, 0.0]], "n_max": 2000}
 
@@ -127,6 +138,21 @@ def test_conjugate_rejects_hyperbolic(tmp_path):
     assert run(tmp_path, "conjugate", cfg) == cli.EXIT_INCONCLUSIVE
 
 
+_CONJUGATE = {"map": {"family": "HalfplaneAffine", "lam": 1.0, "b": [0.0, 1.0]},
+              "checkpoints": [100]}
+
+
+@pytest.mark.parametrize("extra, message", [
+    ({"kind": "pommerenkee"}, "unknown kind 'pommerenkee'"),
+    ({"tolerances": {"bogus": 1}}, "unknown tolerances ['bogus']"),
+    ({"n_max": -5}, "n_max must be >= 0"),
+], ids=["kind", "tolerances", "n_max"])
+def test_conjugate_checks_its_config(tmp_path, capsys, extra, message):
+    assert run(tmp_path, "conjugate", dict(_CONJUGATE, **extra)) == cli.EXIT_USAGE
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
 def test_harness_command_custom_suite(tmp_path):
     cfg = {
         "n_max": 20000,
@@ -146,11 +172,15 @@ def test_harness_command_custom_suite(tmp_path):
 
 
 def test_harness_skips_a_planar_row(tmp_path):
+    # the half-plane row is read at infinity and passes; the disk row names no vertex
     cfg = {
         "n_max": 2000,
         "suite": [
             {"map": {"family": "HalfplaneAffine", "lam": 1.0, "b": [1.0, 0.0]},
              "start": [1.0, 0.0]},
+            {"map": {"family": "Conjugated",
+                     "inner": {"family": "HalfplaneAffine", "lam": 1.0, "b": [1.0, 0.0]}},
+             "start": [0.2, 0.1]},
             {"map": {"family": "SiegelTranslation", "b": [1.0, 0.0]},
              "start": [[1.5, 0.0], [0.2, 0.0]]},
         ],
@@ -158,10 +188,12 @@ def test_harness_skips_a_planar_row(tmp_path):
     assert run(tmp_path, "harness", cfg) == 0
     header, rows = read_csv(tmp_path / "harness.csv")
     rec = [dict(zip(header, r)) for r in rows]
-    assert [(r["skipped"], r["passed"]) for r in rec] == [("True", "False"), ("False", "True")]
-    assert rec[0]["notes"] == "approach analysis needs a ball or Siegel orbit"
+    assert [(r["skipped"], r["passed"]) for r in rec] == [
+        ("False", "True"), ("True", "False"), ("False", "True")]
+    assert rec[0]["step_verdict"] == "zero_step" and rec[0]["restricted"] == "True"
+    assert rec[1]["notes"] == "disk and ball orbits need an explicit vertex X"
     summary = (tmp_path / "harness_summary.txt").read_text()
-    assert "passed: 1 failed: 0 skipped: 1" in summary
+    assert "passed: 2 failed: 0 skipped: 1" in summary
 
 
 def test_harness_csv_holds_the_deciding_statistics(tmp_path):
@@ -276,6 +308,13 @@ def test_bad_config_file(tmp_path):
 def test_unknown_family_is_usage_error(tmp_path):
     cfg = {"map": {"family": "NoSuchFamily"}}
     assert run(tmp_path, "classify", cfg) == cli.EXIT_USAGE
+
+
+def test_a_misspelled_map_parameter_is_a_config_error(tmp_path, capsys):
+    cfg = dict(PARABOLIC, map={"family": "HalfplaneAffine", "lam": 1.0, "bb": [1.0, 0.0]})
+    assert run(tmp_path, "orbit", cfg) == cli.EXIT_USAGE
+    assert "config error: HalfplaneAffine has no parameter ['bb']" in capsys.readouterr().err
+    assert not (tmp_path / "orbit.csv").exists()
 
 
 def test_budgets_default_to_dynamics_budgets(monkeypatch):

@@ -73,7 +73,8 @@ def test_approach_flags_follow_their_statistics(name):
     spec, start, X = APPROACH_ORBITS[name]
     orb = dynamics.iterate(spec, np.array(start, np.complex128), 20_000)
     ap = diagnostics.approach_report(orb, X)
-    special, koranyi, nt, angle, euclid, _ = diagnostics._orbit_series(orb, ap.X)
+    special, koranyi, nt, angle, euclid, _ = maps.MODELS[orb.model].approach_series(
+        orb.points, ap.X.X)
     k = max(2, int(round(special.size * 0.2)))
     assert ap.special_ratio_tail_mean == float(special[-k:].mean())
     assert ap.nt_tail_max == float(nt[-k:].max())
@@ -124,11 +125,15 @@ def test_harness_skips_non_parabolic():
 
 
 @pytest.mark.parametrize("spec, start, note", [
-    (maps.HalfplaneAffine(1.0, 1.0), 1.0 + 0j, "approach analysis needs a ball or Siegel orbit"),
+    # a parabolic disk map and a parabolic ball map: the harness names no vertex for them
+    (maps.Conjugated(maps.HalfplaneAffine(1.0, 1.0)), 0.2 + 0.1j,
+     "disk and ball orbits need an explicit vertex X"),
+    (maps.Conjugated(maps.SiegelTranslation(1.0)), np.array([0.1, 0.2], np.complex128),
+     "disk and ball orbits need an explicit vertex X"),
     # 9.999e11 + 2e8 passes the 1e12 magnitude stop: a 3-point orbit
     (maps.SiegelTranslation(1e8), np.array([9.999e11, 0.0], np.complex128),
      "orbit too short for approach statistics"),
-], ids=["planar", "too_short"])
+], ids=["planar", "ball", "too_short"])
 def test_harness_skips_rows_the_analysis_cannot_read(spec, start, note):
     suite = [(spec, start), (maps.SiegelTranslation(1.0), np.array([1.5, 0.2], np.complex128))]
     rep = diagnostics.theorem_harness(suite, budgets=Budgets(n_max=2_000))
@@ -140,16 +145,64 @@ def test_harness_skips_rows_the_analysis_cannot_read(spec, start, note):
 
 
 @pytest.mark.parametrize("spec, start, n_max, match", [
-    # a parabolic ball map: the harness names no ball vertex
-    (maps.Conjugated(maps.SiegelTranslation(1.0)), np.array([0.1, 0.2], np.complex128), 2_000,
-     "ball orbits need an explicit vertex X"),
     # 9 steps of 0.3 leave ||Z - e1|| above 0.5: a parabolic orbit that does not converge
     (maps.SiegelTranslation(0.3), np.array([1.5, 1.2], np.complex128), 9,
      "orbit does not converge to the vertex X"),
-], ids=["ball", "not_converging"])
+], ids=["not_converging"])
 def test_harness_raises_other_precondition_errors(spec, start, n_max, match):
     with pytest.raises(PreconditionError, match=match):
         diagnostics.theorem_harness([(spec, start)], budgets=Budgets(n_max=n_max))
+
+
+# (spec, step verdict, restricted): half-plane rows are the N = 1 case, where the
+# check is the one-variable theorem, non-tangential parabolic approach => zero step
+HALFPLANE_ROWS = [
+    (maps.HalfplaneAffine(1.0, 1.0), "zero_step", True),
+    (maps.HalfplaneAffine(1.0, 1.0 + 1.0j), "zero_step", True),
+    (maps.HalfplaneAffine(1.0, 0.3 + 2.0j), "zero_step", True),
+    (maps.HalfplanePerturbed(0.0, 1.0), "zero_step", True),
+    (maps.HalfplanePerturbed(0.5, 1.0), "zero_step", True),
+    (maps.HalfplanePerturbed(0.5 + 1.0j, 1.0), "zero_step", True),
+    # b = i: a nonzero step and tangential approach
+    (maps.HalfplaneAffine(1.0, 1.0j), "nonzero_step", False),
+    (maps.HalfplanePerturbed(1.0j, 0.3), "nonzero_step", False),
+    (maps.HalfplanePerturbed(1.0j, 1.0), "nonzero_step", False),
+]
+
+
+def test_harness_reads_half_plane_rows_and_skips_disk_and_ball_rows():
+    suite = [(spec, z) for spec, _, _ in HALFPLANE_ROWS for z in (1.0 + 0j, 2.0 - 3.0j)]
+    suite += [
+        (maps.Conjugated(maps.HalfplaneAffine(1.0, 1.0)), 0.2 + 0.1j),
+        (maps.Conjugated(maps.SiegelTranslation(1.0)), np.array([0.1, 0.2], np.complex128)),
+        (maps.SiegelTranslation(1.0), np.array([1.5, 0.2], np.complex128)),
+    ]
+    rep = diagnostics.theorem_harness(suite, budgets=Budgets(n_max=100_000))
+    assert (rep.n_passed, rep.n_failed, rep.n_skipped) == (19, 0, 2)
+    assert rep.implications_ok()
+    for row, (_, verdict, restricted) in zip(rep.rows, [r for r in HALFPLANE_ROWS for _ in "ab"]):
+        assert row.passed and not row.skipped and not row.notes, row.label
+        assert (row.classified_type, row.step_verdict) == ("parabolic", verdict), row.label
+        assert row.restricted is restricted, row.label
+        # no w column: the special ratio is 0, so restricted means non-tangential
+        assert row.approach.X.at_infinity and row.approach.special_ratio_tail_mean == 0.0
+    disk, ball, siegel = rep.rows[18:]
+    for row in (disk, ball):
+        assert row.classified_type == "parabolic" and row.approach is None
+        assert row.skipped and not row.passed
+        assert row.notes == "disk and ball orbits need an explicit vertex X"
+    assert siegel.passed and siegel.step_verdict == "zero_step" and siegel.restricted
+
+
+def test_approach_reads_a_disk_orbit_at_a_given_vertex():
+    # the disk image of z -> z + 1 from 1 runs along the radius to 1: the N = 1 ball case
+    orb = dynamics.iterate(maps.Conjugated(maps.HalfplaneAffine(1.0, 1.0)), 0j, 20_000)
+    ap = diagnostics.approach_report(orb, X=BoundaryPoint([1.0]))
+    assert ap.is_special and ap.is_restricted and ap.is_nontangential
+    rq = diagnostics.radial_quotient_series(orb, X=[1.0])
+    assert abs(rq[-1] - 1.0) < 1e-3
+    with pytest.raises(PreconditionError, match="disk and ball orbits need an explicit vertex"):
+        diagnostics.approach_report(orb)
 
 
 def test_default_suite_composition():
@@ -307,8 +360,9 @@ def test_the_series_of_a_tail_is_the_tail_of_the_series(N):
 
 def _whole_orbit_report(orbit, X, budgets):
     """approach_report as computed from the whole-orbit series, with the harness's radial_dev."""
-    X = diagnostics._resolve_vertex(orbit, X)
-    special, koranyi, nt, angle, euclid, bdist = diagnostics._orbit_series(orbit, X)
+    X = diagnostics._resolve_vertex(orbit.model, X)
+    special, koranyi, nt, angle, euclid, bdist = maps.MODELS[orbit.model].approach_series(
+        orbit.points, X.X)
     k = max(2, int(round(special.size * 0.2)))
     assert bdist[-1] < bdist[-k] and bdist[-1] <= 0.5
     ko_sup, sp_mean = float(koranyi[-k:].max()), float(special[-k:].mean())
@@ -356,5 +410,5 @@ def test_tail_statistics_equal_the_whole_orbit_ones_on_a_ball_orbit():
     old, radial_dev = _whole_orbit_report(orbit, X, Budgets())
     _same_report(diagnostics.approach_report(orbit, X), old)
     k = max(1, int(round((orbit.length - 1) * 0.2)))
-    rq = diagnostics._radial_series(orbit, X, orbit.points[-k - 1:])
+    rq = maps.MODELS[orbit.model].radial_series(orbit.points[-k - 1:], X.X)
     assert float(np.mean(np.abs(rq - 1.0))) == radial_dev
