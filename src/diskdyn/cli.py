@@ -198,9 +198,9 @@ def cmd_steps(cfg, args) -> int:
 def cmd_approach(cfg, args) -> int:
     budgets = _budgets(cfg, args)
     orbit = _first_orbit(cfg, budgets)
-    ap = diagnostics.approach_report(orbit, budgets=budgets)
+    # the whole-orbit columns, whose last 20% the report reads
+    ap, (special, koranyi, nt, *_) = diagnostics._approach(orbit, None, budgets, whole=True)
     rq = diagnostics.radial_quotient_series(orbit)
-    special, koranyi, nt = maps.MODELS[orbit.model].approach_series(orbit.points, ap.X.X)[:3]
     # np.hypot rounds as the scalar abs does; the array abs can differ in the last bit
     header, lines = _orbit_rows(orbit, koranyi, special, nt, np.hypot(rq.real, rq.imag))
     header += ["koranyi_q", "special_ratio", "nt_q", "radial_q"]

@@ -41,7 +41,8 @@ __all__ = [
 ]
 
 DEFAULT_CHECKPOINTS = (100, 1_000, 10_000, 100_000)
-# a grid that steps by running sums does so in chunks of up to this many rows
+# a translation-group grid reaches each checkpoint c as the last row of a block of
+# min(c, this many) steps, so that a point past an overflow turns NaN, as the per-step calls' does
 _CHUNK = 256
 
 
@@ -86,9 +87,10 @@ def _precheck(spec, precheck_n: int) -> None:
 def _run_grid(spec, grid, basepoint, checkpoints):
     """Push grid + basepoint through the iterates, sampling at checkpoints.
 
-    Where ``maps._block_fill`` gives a running-sum filler, the whole row of
-    points advances up to ``_CHUNK`` steps per call; every other map is
-    called once per step.  At each checkpoint n, f_{n+1} is one more call.
+    A translation-group map (``maps._block_fill``) writes the row at
+    checkpoint n in closed form from the grid, as the last row of a block of
+    up to ``_CHUNK`` steps; every other map is called once per step.  At each
+    checkpoint n, f_{n+1} is one more call.
 
     Returns per-checkpoint tuples (f_n(grid), f_{n+1}(grid), z_n, z_{n+1}).
     """
@@ -106,10 +108,9 @@ def _run_grid(spec, grid, basepoint, checkpoints):
             for _ in range(n, c):
                 cur = spec(cur)
         else:
-            for k in range(n, c, _CHUNK):
-                m = min(_CHUNK, c - k)
-                fill(cur, rows[:m])
-                cur = rows[m - 1].copy()
+            m = min(_CHUNK, c)
+            fill(c - m, rows[:m])
+            cur = rows[m - 1].copy()
         n = c
         nxt = spec(cur)
         samples[n] = (cur[:-1].copy(), nxt[:-1].copy(), complex(cur[-1]), complex(nxt[-1]))

@@ -78,8 +78,8 @@ class ApproachReport:
         return True
 
 
-def _resolve_vertex(model: str, X) -> BoundaryPoint:
-    """The vertex an orbit of the model is read at: infinity if unbounded, else the given X."""
+def _resolve_vertex(model: str, X, dim: int) -> BoundaryPoint:
+    """The vertex an orbit of the model in C^dim is read at: infinity if unbounded, else the given X."""
     unbounded = MODELS[model].unbounded
     if X is None:
         if unbounded:
@@ -89,6 +89,8 @@ def _resolve_vertex(model: str, X) -> BoundaryPoint:
         X = BoundaryPoint(np.asarray(X, np.complex128))
     if unbounded and not X.at_infinity:
         raise PreconditionError("half-plane and Siegel orbits are analyzed at the vertex infinity")
+    if not unbounded and (X.at_infinity or X.X.size != dim):
+        raise PreconditionError(f"a disk or ball orbit in C^{dim} is read at a unit vector X in C^{dim}")
     return X
 
 
@@ -99,14 +101,18 @@ def approach_report(orbit: Orbit, X=None, budgets: Budgets | None = None) -> App
     n orbit points only, the part the statistics read.  They are formed row by
     row, so they equal the tail of the whole-orbit series bit for bit.
     """
-    budgets = budgets or Budgets()
-    X = _resolve_vertex(orbit.model, X)
+    return _approach(orbit, X, budgets or Budgets(), whole=False)[0]
+
+
+def _approach(orbit: Orbit, X, budgets: Budgets, whole: bool) -> tuple:
+    """(approach_report, its approach series): of the whole orbit if whole, else of the tail it reads."""
+    X = _resolve_vertex(orbit.model, X, orbit.points[0].size)
     n = orbit.length
     if n < _MIN_APPROACH:
         raise PreconditionError("orbit too short for approach statistics")
     k = max(2, int(round(n * _TAIL_FRACTION)))
-    special, koranyi, nt, angle, euclid, bdist = MODELS[orbit.model].approach_series(
-        orbit.points[-k:], X.X)
+    series = MODELS[orbit.model].approach_series(orbit.points if whole else orbit.points[-k:], X.X)
+    special, koranyi, nt, angle, euclid, bdist = (s[-k:] for s in series)
     if not (bdist[-1] < bdist[0] or bdist[-1] < 1e-9) or bdist[-1] > 0.5:
         raise PreconditionError("orbit does not converge to the vertex X")
     ko_sup = float(koranyi.max())
@@ -129,12 +135,13 @@ def approach_report(orbit: Orbit, X=None, budgets: Budgets | None = None) -> App
         in_koranyi,
         is_nontangential,
         ko_sup if in_koranyi else float("inf"),
-    )
+    ), series
 
 
 def radial_quotient_series(orbit: Orbit, X=None) -> np.ndarray:
     """(1 - <Z_{n+1}, X>)/(1 - <Z_n, X>); tends to 1 for restricted parabolic orbits."""
-    return MODELS[orbit.model].radial_series(orbit.points, _resolve_vertex(orbit.model, X).X)
+    X = _resolve_vertex(orbit.model, X, orbit.points[0].size)
+    return MODELS[orbit.model].radial_series(orbit.points, X.X)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +229,7 @@ def theorem_harness(
             skip = "classification is not parabolic"
         else:
             try:
-                _resolve_vertex(spec.model, None)
+                _resolve_vertex(spec.model, None, np.size(start))
             except PreconditionError as exc:  # a disk or ball row: no vertex to read at
                 skip = str(exc)
             else:

@@ -142,10 +142,10 @@ def iterate(spec, start, n_max: int, policy: StoppingPolicy | None = None) -> Or
     Blocks grow from 256 steps, doubling up to 16,384 (``_blocks``), so an
     orbit that stops after k steps computes at most max(256, 2k) + 256.
 
-    Where ``maps._block_fill`` gives a running-sum filler, it fills each
-    block in one call; every other map is called once per step, and a
-    block's points are stored together, so a map must not change the point
-    it is given.  A start with a non-finite coordinate raises DomainError.
+    A translation-group map (``maps._block_fill``) writes each block in closed
+    form from the start and the step index; every other map is called once
+    per step, and a block's points are stored together, so a map must not
+    change the point it is given.  A start with a non-finite coordinate raises DomainError.
     """
     policy = policy or StoppingPolicy()
     model = MODELS[spec.model]
@@ -160,7 +160,7 @@ def iterate(spec, start, n_max: int, policy: StoppingPolicy | None = None) -> Or
     for t, end in _blocks(n_max):
         exc = None
         if fill is not None:
-            fill(buf[t], buf[t + 1 : end + 1])
+            fill(t, buf[t + 1 : end + 1])
         else:
             pts = []
             for j in range(t + 1, end + 1):

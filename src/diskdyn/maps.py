@@ -13,24 +13,16 @@ The built-in families cover the dynamical taxonomy with closed-form oracles:
 * ``SiegelTranslation``      (z, w) -> (z + b, w)
 * ``HeisenbergTranslation``  parabolic ball automorphism with non-special orbits
 
-``SiegelTranslation``, ``HeisenbergTranslation``, any ``Composition`` of
-them, and ``HalfplaneAffine`` with lam = 1 step a whole block of an orbit at
-once: ``_block_fill``, which ``dynamics.iterate`` and ``conjugation`` ask,
-gives the filler or None.  The half-plane filler takes one point or a row of
-points, such as a sample grid.  The translations move w by a fixed ``a`` and
-z by terms known from w, so every coordinate of the block is a running sum.
-``np.add.accumulate`` adds those terms one after the other, in the order
-``__call__`` adds them, and a step that leaves w alone copies it; the block
-therefore holds the points that step-by-step calls give, bit for bit.  For
-``HalfplaneAffine(1, b)`` the step is ``1.0 * z + b``, and the product is z
-itself for every finite z with Re z > 0, except that CPython before 3.14
-multiplies as complex numbers and turns an Im z of -0.0 into +0.0.  The block makes its
-first step by a call; under that rule no later point has an Im z of -0.0,
-since a sum is -0.0 only when both terms are, so the running sum of b from
-there matches the calls bit for bit.  A row of points steps element by
-element, and numpy multiplies it as complex numbers too, so the same holds
-for a row whose points all have Re z > 0, which ``_block_fill`` asks of the
-start.  Every other map is stepped one call at a time.
+``SiegelTranslation``, ``HeisenbergTranslation`` and their compositions are
+the elements T(a, beta): (z, w) -> (z + 2<w, a> + ||a||^2 + beta, w + a) of the
+Heisenberg translation group, where T(a1, b1) o T(a2, b2) = T(a1 + a2, b1 + b2
++ 2i Im<a2, a1>); ``HalfplaneAffine(1, b)`` is its N = 1 case T(0, b).  As
+T(a, beta)^n = T(na, n beta), ``_block_fill`` writes a block of such an orbit
+in closed form from the start and the step index: w_n = w_0 + n a, and
+Re z_n = A_n + ||w_n||^2 with the margin A_n = A_0 + n Re beta, formed with the
+``_norm2`` that the stopping rule reads back, so no rounding carries from step
+to step.  Where a = 0, z_n is z_0 + n beta and w_0 is copied, which keeps the
+sign of a zero.  Every other map is stepped one call at a time.
 """
 
 from __future__ import annotations
@@ -42,7 +34,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import DomainError, EvaluationError, ModelMismatchError
-from .geometry import MODELS, _margin
+from .geometry import MODELS, _margin, _norm2
 
 
 def _c(x) -> complex:
@@ -89,23 +81,6 @@ class HalfplaneAffine:
 
     def __call__(self, z):
         return self.lam * z + self.b
-
-    def _shift_block(self, cur, out):
-        """Fill out (m,) or (m, k) with the m points of the orbit of z + b after cur.
-
-        cur is one point, or a row (k,) of points for an (m, k) block.
-        """
-        # an overflow gives inf and then NaN, silently as the one-point calls do
-        with np.errstate(over="ignore", invalid="ignore"):
-            z = self(cur if isinstance(cur, np.ndarray) else complex(cur))
-            out[0] = z
-            out[1:] = self.b
-            np.add.accumulate(out, axis=0, out=out)
-            if not np.isfinite(out[-1:]).all():
-                # past an overflow 1.0 * z changes z (1 * inf - 0 * y is NaN): step by calls
-                for j in range(1, len(out)):
-                    z = self(z)
-                    out[j] = z
 
     def params_ok(self) -> bool:
         return self.lam > 0.0 and self.b.real >= 0.0
@@ -273,12 +248,7 @@ class Conjugated:
 
 
 def _inner(w, a):
-    """<w, a> = sum_j w[j] conj(a[j]) as (real, imag).
-
-    Each w[j] is a number, or an array for a block of points.  Plain float
-    arithmetic, j in order, so that one point and a block of points round
-    alike; np.vdot's BLAS kernel rounds its own way for len(a) > 1.
-    """
+    """<w, a> = sum_j w[j] conj(a[j]) as (real, imag), in plain float arithmetic, j in order."""
     if len(w) != len(a):
         raise ValueError(f"w has {len(w)} coordinates, a has {len(a)}")
     re = im = 0.0
@@ -288,63 +258,76 @@ def _inner(w, a):
     return re, im
 
 
+def _group_element(spec):
+    """(a, beta) with spec = T(a, beta), or None for a map outside the translation group.
+
+    a is None for the T(0, beta) that acts on points of any N.
+    """
+    if isinstance(spec, Composition) and spec.model == "siegel":
+        a, beta = None, 0j
+        for g in map(_group_element, spec.parts):
+            if g is None:
+                return None
+            a2, beta2 = g
+            if a is not None and a2 is not None:  # _inner raises ValueError for parts of two N
+                beta += complex(0.0, 2.0 * _inner(a2, a)[1])
+                a = a + a2
+            elif a is None:
+                a = a2
+            beta += beta2
+        return a, beta
+    if isinstance(spec, HeisenbergTranslation):
+        a, beta = spec._a_arr, complex(0.0, spec.b)
+    elif isinstance(spec, SiegelTranslation) or (isinstance(spec, HalfplaneAffine) and spec.lam == 1.0):
+        a, beta = None, spec.b
+    else:
+        return None
+    return (a, beta) if np.isfinite([beta, *(() if a is None else a)]).all() else None
+
+
 def _block_fill(spec, start):
-    """fill(cur, out), which puts the points after cur into out by running sums, or None.
+    """fill(t, out), which writes points t + 1 .. t + len(out) of the orbit of start into out, or None.
 
-    ``HalfplaneAffine`` needs lam = 1, a finite b and Re z > 0 at every point of start.
+    start is a point, or for the half-plane a row (k,) of points and out (m, k).
+    The half-plane translation needs Re z > 0 at every point of start.
     """
-    if isinstance(spec, HalfplaneAffine):
-        ok = spec.lam == 1.0 and np.isfinite(spec.b) and np.all(np.real(start) > 0.0)
-        return spec._shift_block if ok else None
-    steps = _translations(spec)
-    return None if steps is None else partial(_translate_block, steps)
+    g = _group_element(spec)
+    planar = MODELS[spec.model].planar
+    if g is None or (planar and not np.all(np.real(start) > 0.0)):
+        return None
+    a, beta = g
+    z0, w0 = (start, None) if planar else (start[0], start[1:])
+    if a is not None:  # z0 + n beta: the margin A_0 + n Re beta and Im z_0 + n Im(2<w_0, a> + beta)
+        z0 = complex(_margin(z0.real, w0[None])[0], z0.imag)
+        beta = complex(beta.real, 2.0 * _inner(w0, a)[1] + beta.imag)
+    return partial(_fill_block, spec, z0, beta, w0, a)
 
 
-def _translations(spec):
-    """The Siegel/Heisenberg translations spec applies, first applied first, or None."""
-    if isinstance(spec, (SiegelTranslation, HeisenbergTranslation)):
-        return (spec,)
-    if isinstance(spec, Composition):
-        parts = [_translations(p) for p in reversed(spec.parts)]
-        if all(p is not None for p in parts):
-            return sum(parts, ())
-    return None
+# an overflow gives inf, and the calls past it NaN, silently as the one-point calls do
+@np.errstate(over="ignore", invalid="ignore")
+def _fill_block(spec, z0, beta, w0, a, t, out):
+    """Write points t + 1 .. t + m of the orbit into out (m, ...): z = z0 + n beta, w = w0 + n a.
 
-
-def _translate_block(steps, cur, out):
-    """Fill out (m, N) with the m points after cur (N,) of the orbit of steps.
-
-    One orbit step applies the translations of steps in order.  Every w and
-    z is a running sum taken with np.add.accumulate, which adds in sequence;
-    its terms come in the order the ``__call__`` methods add them.
+    With a given, z0 + n beta is the margin and Im z, and Re z gets ||w||^2 added.
+    Past a point that is not finite the block steps by calls, as the per-step loop does.
     """
-    m = out.shape[0]
-    moves = [s._a_arr for s in steps if isinstance(s, HeisenbergTranslation)]
-    h = len(moves)
-    # ws[k h + i] is w before the i-th w-moving translation of step k
-    ws = np.empty((m * h + 1, cur.size - 1), np.complex128)
-    ws[0] = cur[1:]
-    if h:
-        ws[1:].reshape(m, h, cur.size - 1)[:] = moves
-        np.add.accumulate(ws, axis=0, out=ws)
-    terms = []  # the z terms of one step, in the order __call__ adds them
-    i = 0
-    for s in steps:
-        if isinstance(s, HeisenbergTranslation):
-            re, im = _inner(ws[i:-1:h].T, s.a)
-            t = np.empty(m, np.complex128)
-            t.real, t.imag = 2.0 * re, 2.0 * im
-            terms += [t, s._shift]
-            i += 1
-        else:
-            terms.append(s.b)
-    zs = np.empty(m * len(terms) + 1, np.complex128)
-    zs[0] = cur[0]
-    for c, t in enumerate(terms):
-        zs[1 + c :: len(terms)] = t
-    np.add.accumulate(zs, out=zs)
-    out[:, 0] = zs[len(terms) :: len(terms)]
-    out[:, 1:] = ws[h::h] if h else cur[1:]  # a copy keeps the sign of a zero
+    m = len(out)
+    n = np.arange(t + 1.0, t + m + 1.0)
+    z = out if w0 is None else out[:, 0]
+    np.multiply(n.reshape((m,) + (1,) * np.ndim(z0)), beta, out=z)
+    z += z0
+    if a is not None:
+        w = out[:, 1:]
+        np.multiply(n[:, None], a, out=w)
+        w += w0
+        np.add(z.real, _norm2(w), out=z.real)
+    elif w0 is not None:
+        out[:, 1:] = w0
+    if not np.isfinite(out[-1]).all():  # a coordinate that overflows stays non-finite
+        j = int(np.isfinite(out.reshape(m, -1)).all(axis=1).argmin())
+        pt = out[j] if out.ndim > 1 else complex(out[j])
+        for i in range(j + 1, m):
+            out[i] = pt = spec(pt)
 
 
 FAMILIES = {

@@ -6,6 +6,8 @@ import pytest
 from diskdyn import conjugation, maps
 from diskdyn.errors import PreconditionError
 
+import closed_form
+
 CPS = (100, 1_000, 10_000)
 
 
@@ -92,7 +94,7 @@ def test_report_mentions_checkpoints():
 
 
 # ---------------------------------------------------------------------------
-# the block-stepped grid of HalfplaneAffine(1, b) against the per-step calls
+# the closed-form grid of HalfplaneAffine(1, b) against the per-step calls
 
 
 def reference_run_grid(spec, grid, basepoint, checkpoints):
@@ -112,6 +114,17 @@ def reference_run_grid(spec, grid, basepoint, checkpoints):
 
 def _sample_bytes(sample):
     return [np.asarray(v, np.complex128).tobytes() for v in sample]
+
+
+def _assert_closed_form(spec, grid, basepoint, samples, ref):
+    """Each sample is finite where the calls' is, and is the closed form's point there."""
+    starts = np.append(grid, basepoint)
+    for n, (fn, fn1, zn, zn1) in samples.items():
+        for k, row, want in ((n, np.append(fn, zn), np.append(ref[n][0], ref[n][2])),
+                             (n + 1, np.append(fn1, zn1), np.append(ref[n][1], ref[n][3]))):
+            assert np.array_equal(np.isfinite(row), np.isfinite(want))
+            for s, p in zip(starts, row):
+                closed_form.assert_orbit(spec, s, [p], steps=[k])
 
 
 _GRID_CPS = (1, 2, 255, 256, 257, 400, 5000)
@@ -136,6 +149,8 @@ GRID_CASES = {
     "perturbed": (maps.HalfplanePerturbed(1j, 1.0), None, 1.0),
     "contraction": (maps.HalfplaneAffine(0.5, 1j), _SIGNED_GRID, _NEG),
 }
+# the cases that step by calls; the others are written in closed form
+_BY_CALLS = {"outside_start", "perturbed", "contraction"}
 
 
 @pytest.mark.parametrize("name", sorted(GRID_CASES))
@@ -146,21 +161,27 @@ def test_run_grid_matches_per_step_calls(name):
     samples, cps = conjugation._run_grid(spec, grid, basepoint, _GRID_CPS)
     assert cps == ref_cps == _GRID_CPS
     assert sorted(samples) == sorted(ref)
-    for n in cps:
-        assert _sample_bytes(samples[n]) == _sample_bytes(ref[n])
+    if name in _BY_CALLS:
+        for n in cps:
+            assert _sample_bytes(samples[n]) == _sample_bytes(ref[n])
+    else:
+        _assert_closed_form(spec, grid, basepoint, samples, ref)
     if name.startswith("overflow"):
         assert np.isnan(samples[5000][0]).all()
 
 
 def test_run_grid_steps_translations_in_blocks(monkeypatch):
-    calls = []
+    calls, blocks = [], []
     monkeypatch.setattr(maps.HalfplaneAffine, "__call__",
                         lambda self, z: calls.append(z) or self.lam * z + self.b)
+    fill = maps._fill_block
+    monkeypatch.setattr(maps, "_fill_block",
+                        lambda *args: blocks.append((args[-2], args[-1].shape)) or fill(*args))
     conjugation._run_grid(maps.HalfplaneAffine(1.0, 0.5 + 1j), conjugation.default_grid(),
                           1.0, _GRID_CPS)
-    # one call per chunk of up to 256 rows between checkpoints, and one per checkpoint
-    gaps = np.diff((0,) + _GRID_CPS)
-    assert len(calls) == int(np.sum(-(-gaps // 256))) + len(_GRID_CPS)
+    # a block of min(c, 256) rows ends at each checkpoint c, and one call per checkpoint
+    assert blocks == [(c - min(c, 256), (min(c, 256), 26)) for c in _GRID_CPS]
+    assert len(calls) == len(_GRID_CPS)
     assert all(np.shape(z) == (26,) for z in calls)
 
 
@@ -176,5 +197,8 @@ def test_run_grid_overflows_without_warnings(spec, checkpoints):
         samples, cps = conjugation._run_grid(spec, grid, 1.0, checkpoints)
     assert cps == checkpoints
     for n in cps:
-        assert _sample_bytes(samples[n]) == _sample_bytes(ref[n])
         assert not np.isfinite(samples[n][1]).all()
+    if spec.lam == 1.0:  # the translation is written in closed form
+        _assert_closed_form(spec, grid, 1.0, samples, ref)
+    else:
+        assert all(_sample_bytes(samples[n]) == _sample_bytes(ref[n]) for n in cps)

@@ -205,6 +205,26 @@ def test_approach_reads_a_disk_orbit_at_a_given_vertex():
         diagnostics.approach_report(orb)
 
 
+def test_approach_refuses_infinity_on_a_disk_or_ball_orbit():
+    disk = dynamics.iterate(maps.Conjugated(maps.HalfplaneAffine(1.0, 1.0)), 0j, 2_000)
+    ball = dynamics.iterate(maps.Conjugated(maps.SiegelTranslation(1.0)),
+                            np.array([0.0, 0.1], np.complex128), 2_000)
+    for orb in (disk, ball):
+        for read in (diagnostics.approach_report, diagnostics.radial_quotient_series):
+            with pytest.raises(PreconditionError, match="unit vector X in C"):
+                read(orb, BoundaryPoint.infinity())
+
+
+def test_approach_refuses_a_vertex_of_another_dimension():
+    disk = dynamics.iterate(maps.Conjugated(maps.HalfplaneAffine(1.0, 1.0)), 0j, 2_000)
+    ball = dynamics.iterate(maps.Conjugated(maps.SiegelTranslation(1.0)),
+                            np.array([0.0, 0.1], np.complex128), 2_000)
+    for orb, X in ((disk, [1.0, 0.0]), (ball, [1.0]), (ball, BoundaryPoint.e1(3))):
+        for read in (diagnostics.approach_report, diagnostics.radial_quotient_series):
+            with pytest.raises(PreconditionError, match="unit vector X in C"):
+                read(orb, X)
+
+
 def test_default_suite_composition():
     suite = diagnostics.default_harness_suite()
     fams = [type(s).__name__ for s, _ in suite]
@@ -360,7 +380,7 @@ def test_the_series_of_a_tail_is_the_tail_of_the_series(N):
 
 def _whole_orbit_report(orbit, X, budgets):
     """approach_report as computed from the whole-orbit series, with the harness's radial_dev."""
-    X = diagnostics._resolve_vertex(orbit.model, X)
+    X = diagnostics._resolve_vertex(orbit.model, X, orbit.points[0].size)
     special, koranyi, nt, angle, euclid, bdist = maps.MODELS[orbit.model].approach_series(
         orbit.points, X.X)
     k = max(2, int(round(special.size * 0.2)))
@@ -400,6 +420,8 @@ def test_tail_statistics_equal_the_whole_orbit_ones_on_the_default_suite():
         old, radial_dev = _whole_orbit_report(orbit, None, budgets)
         _same_report(row.approach, old)
         _same_report(diagnostics.approach_report(orbit, budgets=budgets), old)
+        # the report that diskdyn approach reads from its whole-orbit columns
+        _same_report(diagnostics._approach(orbit, None, budgets, whole=True)[0], old)
         assert row.radial_dev == radial_dev
 
 

@@ -10,6 +10,8 @@ from diskdyn.errors import (
     DomainError, EstimationError, EvaluationError, ModelMismatchError, PreconditionError,
 )
 
+import closed_form
+
 
 def test_iterate_stops_at_max_iter():
     orb = dynamics.iterate(maps.HalfplaneAffine(1.0, 1j), 1.0, 50)
@@ -417,7 +419,7 @@ ENGINE_CASES = {
                       _siegel([2.5, 0.2, 0.1j, -0.3, 0.1 + 0.1j], [3.0, 0.0, 0.0, 0.0, 0.0],
                               [4.0 - 1.0j, -0.3, 0.4, 0.2j, 0.5]), 700,
                       ["max_iter"] * 3),
-    # w keeps its -0.0 imaginary part only if the Siegel step copies w
+    # signed zeros in a and in the starts
     "signed_zero": (maps.compose(maps.SiegelTranslation(1.0),
                                  maps.HeisenbergTranslation((complex(0.5, -0.0),))),
                     _siegel([1.5, complex(0.2, -0.0)], [complex(2.0, -0.0), complex(-0.0, -0.0)]), 600,
@@ -443,19 +445,36 @@ def _assert_same(orbit, ref):
     assert orbit.points.tobytes() == points.tobytes()
 
 
+def _is_translation(spec):
+    """Whether spec is in the translation group, whose orbits iterate writes in closed form."""
+    if isinstance(spec, maps.Composition):
+        return spec.model == "siegel" and all(map(_is_translation, spec.parts))
+    return isinstance(spec, (maps.SiegelTranslation, maps.HeisenbergTranslation)) or (
+        isinstance(spec, maps.HalfplaneAffine) and spec.lam == 1.0)
+
+
+def _assert_like(orbit, ref):
+    """_assert_same for a translation-group orbit: the stop of the loop, the points of the closed form."""
+    points, stop = ref
+    assert orbit.stop_reason == stop
+    assert orbit.points.shape == points.shape
+    closed_form.assert_orbit(orbit.spec, orbit.start, orbit.points)
+
+
 @pytest.mark.parametrize("name", sorted(ENGINE_CASES))
 def test_engine_matches_per_step_loop(name):
     spec, starts, n_max, stops = ENGINE_CASES[name]
     policy = ENGINE_POLICIES.get(name)
+    check = _assert_like if _is_translation(spec) else _assert_same
     refs = [reference_orbit(spec, s, n_max, policy) for s in starts]
     assert [r[1] for r in refs] == stops
     for s, ref in zip(starts, refs):
-        _assert_same(dynamics.iterate(spec, s, n_max, policy), ref)
+        check(dynamics.iterate(spec, s, n_max, policy), ref)
     batch = dynamics.iterate_batch(spec, starts, n_max, policy)
     assert len(batch) == len(starts)
     for orbit, s, ref in zip(batch, starts, refs):
         assert orbit.start is s
-        _assert_same(orbit, ref)
+        check(orbit, ref)
 
 
 def _evaluation_error(fn):
@@ -482,13 +501,19 @@ def test_engine_evaluation_error_matches_per_step_loop():
     maps.compose(maps.HeisenbergTranslation((0.1j,), 1.0), maps.SiegelTranslation(-0.5)),
 ])
 def test_block_map_evaluation_error_matches_per_step_loop(spec):
-    # Re b < 0 lowers Re z - ||w||^2 by |Re b| a step; the starts leave at different steps
+    # Re b < 0 lowers Re z - ||w||^2 by |Re b| a step; the starts leave at different steps.
+    # The orbit is the closed form's: it leaves at the first step whose exact margin is
+    # <= 0, and reports that margin.  From 700.25 the margin is exactly 0 at step 700
+    # (spec0) or 1400 (spec1), where the loop's running sums can still read it positive
     starts = _siegel([700.25, 0.5], [300.5, 0.25j], [1000.125, 0.0])
     refs = [_evaluation_error(lambda s=s: reference_orbit(spec, s, 3000)) for s in starts]
     assert len(set(refs)) == 3
-    for s, ref in zip(starts, refs):
-        assert _evaluation_error(lambda s=s: dynamics.iterate(spec, s, 3000)) == ref
-    assert _evaluation_error(lambda: dynamics.iterate_batch(spec, starts, 3000)) == refs[0]
+    errors = [_evaluation_error(lambda s=s: dynamics.iterate(spec, s, 3000)) for s in starts]
+    for s, (index, margin) in zip(starts, errors):
+        exact, size = closed_form.margin(spec, s, index)
+        assert exact <= 0.0 < closed_form.margin(spec, s, index - 1)[0]
+        assert abs(margin - exact) <= closed_form.RTOL * size
+    assert _evaluation_error(lambda: dynamics.iterate_batch(spec, starts, 3000)) == errors[0]
 
 
 @pytest.mark.parametrize("spec, start", [
@@ -856,35 +881,41 @@ def _magnitude_limits(zk):
     return lim, np.nextafter(lim, 0.0), np.nextafter(lim, np.inf)
 
 
+def _assert_magnitude_stops(spec, start):
+    """The orbit stops at the first k whose scalar abs |z_k| passes the limit.
+
+    The limits are |z_k| at the points where numpy's array abs differs from
+    the scalar abs in the last bit, and one ulp either side.  The orbit is the
+    closed form's, and an orbit that stops is a prefix of the one that does not.
+    """
+    full = dynamics.iterate(spec, start, 40).points
+    closed_form.assert_orbit(spec, start, full)
+    z = full.reshape(41, -1)[:, 0]
+    for k in _array_abs_edges(z):
+        for lim in _magnitude_limits(z[k]):
+            orbit = dynamics.iterate(spec, start, 40, StoppingPolicy(max_magnitude=lim))
+            stop = next((j for j in range(1, 41) if abs(complex(z[j])) > lim), None)
+            assert orbit.stop_reason == ("max_iter" if stop is None else "boundary_proximity")
+            _assert_same(orbit, (full[: 41 if stop is None else stop + 1], orbit.stop_reason))
+
+
 def test_siegel_magnitude_threshold_in_scalar_arithmetic():
-    # limits at |z_k| as the scalar abs computes it, at points where the array
-    # abs differs from it in the last bit, and one ulp either side
     rng = np.random.default_rng(41)
     for _ in range(20):
         b = complex(*rng.uniform(0.5, 2.0, 2)) * 10.0 ** rng.uniform(0, 6)
         spec = maps.SiegelTranslation(b)
         start = np.array([complex(*rng.uniform(1.0, 2.0, 2)) * 10.0 ** rng.uniform(0, 8), 0.5j])
-        z = dynamics.iterate(spec, start, 40).points[:, 0]
-        for k in _array_abs_edges(z):
-            for lim in _magnitude_limits(z[k]):
-                policy = StoppingPolicy(max_magnitude=lim)
-                _assert_same(dynamics.iterate(spec, start, 40, policy),
-                             reference_orbit(spec, start, 40, policy))
+        _assert_magnitude_stops(spec, start)
 
 
 def test_halfplane_magnitude_threshold_in_scalar_arithmetic():
-    # the same for the half-plane, whose running-sum block the rule reads
+    # the same for the half-plane, whose closed-form block the rule reads
     rng = np.random.default_rng(42)
     for _ in range(20):
         b = complex(*rng.uniform(0.5, 2.0, 2)) * 10.0 ** rng.uniform(0, 6)
         spec = maps.HalfplaneAffine(1.0, b)
         start = complex(*rng.uniform(1.0, 2.0, 2)) * 10.0 ** rng.uniform(0, 8)
-        z = dynamics.iterate(spec, start, 40).points
-        for k in _array_abs_edges(z):
-            for lim in _magnitude_limits(z[k]):
-                policy = StoppingPolicy(max_magnitude=lim)
-                _assert_same(dynamics.iterate(spec, start, 40, policy),
-                             reference_planar_orbit(spec, start, 40, policy))
+        _assert_magnitude_stops(spec, start)
 
 
 class Shift:
@@ -997,7 +1028,7 @@ def test_unknown_model_name_is_a_model_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# the running-sum block of HalfplaneAffine(1, b) against the per-step calls
+# the closed-form block of HalfplaneAffine(1, b) against the per-step calls
 
 
 _NEG = complex(1.0, -0.0)
@@ -1006,7 +1037,6 @@ _NEG = complex(1.0, -0.0)
 AFFINE_BLOCK_CASES = {
     "im_plus_zero": (0.5, 1.0 + 0j, 1000, None, "max_iter", 1001),
     "im_minus_zero": (0.5, _NEG, 1000, None, "max_iter", 1001),
-    # -0.0 + -0.0 is -0.0: a running sum from z_0 itself would keep the sign
     "b_im_minus_zero": (complex(0.5, -0.0), _NEG, 1000, None, "max_iter", 1001),
     "b_minus_zero_from_plus": (complex(0.125, -0.0), 3.0 + 0j, 700, None, "max_iter", 701),
     "inexact_sums": (0.3 - 0.7j, 1.1 + 0.2j, 5000, None, "max_iter", 5001),
@@ -1042,11 +1072,11 @@ def test_affine_translation_block_matches_per_step_calls(name, monkeypatch):
     monkeypatch.setattr(maps.HalfplaneAffine, "__call__",
                         lambda self, z: calls.append(z) or self.lam * z + self.b)
     orbit = dynamics.iterate(spec, start, n_max, policy)
-    _assert_same(orbit, ref)
+    _assert_like(orbit, ref)
     if name.startswith("overflow"):
         return
-    # one call per block the orbit enters, for its first step; every stop here keeps its point
-    assert len(calls) == sum(t < orbit.length - 1 for t, _ in dynamics._blocks(n_max))
+    # every block is written in closed form, with no call
+    assert calls == []
 
 
 @pytest.mark.parametrize("spec", [
@@ -1057,6 +1087,121 @@ def test_affine_translation_block_matches_per_step_calls(name, monkeypatch):
 ])
 def test_affine_block_only_for_finite_translations(spec):
     assert maps._block_fill(spec, 1.0 + 0j) is None
+
+
+# ---------------------------------------------------------------------------
+# the translation group: its elements, its law and its closed-form orbits
+
+
+_SUITE = diagnostics.default_harness_suite(0)
+
+
+def _collapsed(spec):
+    """A two-part map of the element maps._group_element gives for spec: T(0, Re b) o T(a, i Im b)."""
+    a, beta = maps._group_element(spec)
+    if a is None:
+        return maps.SiegelTranslation(beta)
+    return maps.compose(maps.SiegelTranslation(beta.real),
+                        maps.HeisenbergTranslation(tuple(a), beta.imag))
+
+
+def test_harness_compositions_follow_their_collapsed_element():
+    mixed = [(spec, start) for spec, start in _SUITE if isinstance(spec, maps.Composition)]
+    assert len(mixed) == 5
+    for spec, start in mixed:
+        calls, stop = reference_orbit(spec, start, 1000)
+        assert stop == "max_iter"
+        exact, size = closed_form.orbit(_collapsed(spec), start, range(1001))
+        for points in (calls, dynamics.iterate(spec, start, 1000).points):
+            assert np.all(np.abs(points - exact) <= 1e-13 * size)
+
+
+def _random_translation(rng, dim):
+    b = complex(*rng.normal(size=2))
+    if rng.random() < 0.3:
+        return maps.SiegelTranslation(complex(abs(b.real), b.imag))
+    return maps.HeisenbergTranslation(tuple(rng.normal(size=(dim - 1, 2)) @ [1, 1j]), b.real)
+
+
+def test_group_law_matches_composed_calls():
+    rng = np.random.default_rng(7)
+    for dim in (2, 3, 5):
+        for _ in range(20):
+            parts = [_random_translation(rng, dim) for _ in range(rng.integers(2, 5))]
+            spec = maps.Composition(tuple(parts))
+            a, beta = maps._group_element(spec)
+            a = np.zeros(dim - 1, complex) if a is None else a
+            size = 1.0 + sum(abs(p.b) + np.abs(getattr(p, "a", ())).sum() for p in parts)
+            for pt in maps.sample_domain("siegel", 5, rng, dim):
+                z, w = pt[0], pt[1:]
+                got = np.concatenate(([z + 2.0 * np.vdot(a, w) + np.vdot(a, a).real + beta], w + a))
+                scale = (size + np.abs(pt).sum()) ** 2
+                assert np.all(np.abs(got - spec(pt)) <= 1e-13 * scale)
+
+
+# maps outside the translation group, with starts, and the loop that steps them
+OUTSIDE_THE_GROUP = {
+    "perturbed": (maps.HalfplanePerturbed(1j, 1.0), 2.0 + 1j),
+    "moebius": (maps.DiskMoebius(0.5), 0.1j),
+    "conjugated": (maps.Conjugated(maps.SiegelTranslation(1.0)), _siegel([0.2 + 0.1j, 0.3])[0]),
+    "composition_conjugated": (
+        maps.compose(maps.SiegelTranslation(1.0), maps.Conjugated(maps.Conjugated(
+            maps.SiegelTranslation(1.0)))), _siegel([1.5, 0.2])[0]),
+    "composition_perturbed": (
+        maps.compose(maps.HalfplaneAffine(1.0, 1.0), maps.HalfplanePerturbed(1j, 1.0)), 1.0 + 0j),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUTSIDE_THE_GROUP))
+def test_maps_outside_the_group_step_by_calls(name):
+    spec, start = OUTSIDE_THE_GROUP[name]
+    assert maps._group_element(spec) is None
+    assert maps._block_fill(spec, start) is None
+    _assert_same(dynamics.iterate(spec, start, 2000), _reference_loop(spec)(spec, start, 2000))
+
+
+def test_a_composition_of_two_dimensions_raises_as_its_calls_do():
+    spec = maps.compose(maps.HeisenbergTranslation((0.5,)), maps.HeisenbergTranslation((0.1, 0.2j)))
+    for pt in ([2.0, 0.1], [2.0, 0.1, 0.1]):
+        with pytest.raises(ValueError):
+            spec(np.array(pt, np.complex128))
+        with pytest.raises(ValueError):
+            maps._group_element(spec)
+
+
+def test_a_siegel_translation_copies_w():
+    # with a = 0 the filler copies w, which keeps the sign of a zero
+    start = _siegel([1.5, complex(-0.0, -0.0), complex(0.25, -0.0)])[0]
+    orbit = dynamics.iterate(maps.SiegelTranslation(0.5 + 1j), start, 1000)
+    assert orbit.length == 1001
+    assert orbit.points[:, 1:].tobytes() == np.tile(start[1:], (1001, 1)).tobytes()
+
+
+_HEISENBERG_ROWS = [(i, spec, start) for i, (spec, start) in enumerate(_SUITE)
+                    if isinstance(spec, maps.HeisenbergTranslation)]
+
+
+def test_heisenberg_rows_keep_a_nonzero_step_at_every_budget():
+    # a verdict must not turn with the budget: a margin that drifts like n^3 eps
+    # turns rows inconclusive by 2e5 and lets row 30 leave the domain before 4e5
+    assert [i for i, _, _ in _HEISENBERG_ROWS] == list(range(21, 31))
+    for n_max in (100_000, 200_000, 400_000):
+        for i, spec, start in _HEISENBERG_ROWS:
+            orbit = dynamics.iterate(spec, start, n_max)
+            assert orbit.stop_reason == "max_iter", (n_max, i)
+            assert dynamics.step_series(orbit).verdict == "nonzero_step", (n_max, i)
+
+
+@pytest.mark.parametrize("row", [26, 30])
+def test_heisenberg_margin_and_step_hold_their_start_values(row):
+    # an automorphism keeps the margin A_n = A_0 and the step s_n = s_0
+    spec, start = _SUITE[row]
+    orbit = dynamics.iterate(spec, start, 100_000)
+    a0 = closed_form.margin(spec, start, 0)[0]
+    an = geometry._margin(orbit.points[-1:, 0].real, orbit.points[-1:, 1:])[0]
+    assert abs(an - a0) <= 1e-6 * a0
+    s = dynamics.step_series(orbit).s
+    assert abs(s[-1] - s[0]) <= 1e-6 * s[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1101,6 +1246,11 @@ def test_engine_schedule_edges(name):
     # the loop runs to max_iter, so its orbit at a smaller n_max is a prefix of this one
     points, stop = _reference_loop(spec)(spec, start, _SCHEDULE_EDGES[-1])
     assert stop == "max_iter" and len(points) == _SCHEDULE_EDGES[-1] + 1
+    if _is_translation(spec):
+        # the longest orbit is the closed form's, which every shorter one is a prefix of
+        points = dynamics.iterate(spec, start, _SCHEDULE_EDGES[-1]).points
+        ks = sorted({*range(0, len(points), 7), *_SCHEDULE_EDGES})
+        closed_form.assert_orbit(spec, start, points[ks], ks)
     for n_max in _SCHEDULE_EDGES:
         _assert_same(dynamics.iterate(spec, start, n_max), (points[: n_max + 1], "max_iter"))
 
