@@ -1,25 +1,28 @@
 """Command-line surface.
 
 Every command reads a single JSON experiment config (``--config``) and writes
-its outputs under ``--out``.  Exit codes: 0 success, 1 usage / bad config,
+its outputs under ``--out``; CSV output is comma-delimited with '.' decimals and
+17 significant digits.  Exit codes: 0 success, 1 usage / bad config,
 2 inconclusive verdict or failed harness row, 3 numeric failure.
 
-Config schema (all keys optional unless a command needs them)::
+``main`` checks the whole config before any command runs.  A key that no
+command reads is a config error naming its path (``n_maxx``, ``plot.colour``,
+``suite[0].strat``); one that only another command reads is allowed, so that
+one config serves several commands.  Every key is optional, but only ``harness``
+runs without ``map``::
 
     {
       "map": {"family": "HalfplaneAffine", "lam": 1.0, "b": [0.0, 1.0]},
-      "start": [1.0, 0.0],            # complex as [re, im];
-      "starts": [[1.0, 0.0], ...],    # ball/Siegel points as [[re,im], [re,im], ...]
-      "n_max": 10000,
-      "checkpoints": [100, 1000, 10000],
-      "basepoint": [1.0, 0.0],
-      "kind": "pommerenke",           # or "baker_pommerenke" (conjugate command)
-      "plot": {"marker_size": 2.0, "tail_highlight": 0, "title": ""},
+      "start": [1.0, 0.0],            # complex as [re, im]; ball/Siegel points
+      "starts": [[1.0, 0.0], ...],    #   as [[re, im], [re, im], ...]
+      "n_max": 100000,                # --n-max replaces it
       "tolerances": {"tol_c": 1e-3, "tol_step": 1e-3},   # any Budgets threshold
-      "suite": [{"map": {...}, "start": [1.0, 0.0]}, ...]   # harness command
+      "checkpoints": [100, 1000, 10000, 100000],          # conjugate: integers >= 1
+      "basepoint": [1.0, 0.0],        # conjugate, a half-plane point
+      "kind": "pommerenke",           # conjugate, or "baker_pommerenke"
+      "plot": {"marker_size": 2.0, "tail_highlight": 0, "title": ""},
+      "suite": [{"map": {...}, "start": [1.0, 0.0]}, ...]   # harness rows
     }
-
-CSV output is comma-delimited with '.' decimals and 17 significant digits.
 """
 
 from __future__ import annotations
@@ -28,13 +31,14 @@ import argparse
 import dataclasses
 import json
 import os
+import pathlib
 import sys
 import tempfile
 
 import numpy as np
 
 from . import conjugation, diagnostics, dynamics, maps, plotting
-from .errors import DiskDynError, EstimationError, ModelMismatchError, PreconditionError
+from .errors import DiskDynError, EstimationError, PreconditionError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -63,59 +67,83 @@ def _parse_point(v, model: str, key: str):
     """The config point v of the model; a point outside its domain is a config error naming key."""
     if isinstance(v, (int, float)):
         v = [v, 0.0]
+    # one [re, im] pair or a list of them; a planar point is the first pair
+    pts = [complex(c[0], c[1]) for c in (v if v and isinstance(v[0], list) else [v])]
     m = maps.MODELS[model]
-    if m.planar:
-        if v and isinstance(v[0], list):
-            v = v[0]
-        p = complex(v[0], v[1])
-    else:
-        if v and not isinstance(v[0], list):
-            v = [v]
-        p = np.array([complex(c[0], c[1]) for c in v], np.complex128)
+    p = pts[0] if m.planar else np.array(pts, np.complex128)
     if not m.contains(p):
         raise ValueError(f"{key} lies outside the {model} domain")
     return p
 
 
-def _load_config(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+_KEYS = ("map", "start", "starts", "n_max", "tolerances", "checkpoints", "basepoint", "kind",
+         "plot", "suite")
+_PLOT = {"marker_size": 2.0, "tail_highlight": 0, "title": ""}  # a value takes its default's type
+_KINDS = ("pommerenke", "baker_pommerenke")
 
 
-def _spec(cfg: dict):
-    if "map" not in cfg:
-        raise KeyError("config is missing the 'map' entry")
-    return maps.spec_from_dict(cfg["map"])
+@dataclasses.dataclass(frozen=True)
+class Config:
+    """A checked config with its defaults filled in."""
+
+    spec: object  # None without a map
+    starts: list  # "starts", else ["start"], else the model's default starts
+    probe_starts: list | None  # "starts" alone: the probe has its own defaults
+    budgets: dynamics.Budgets
+    kind: str
+    conjugate: dict  # the conjugations' basepoint and checkpoints
+    plot: dict  # render_orbit_svg's options
+    suite: list | None  # (spec, start) rows; None for the default suite
+
+    def first_orbit(self):
+        """The orbit of the first start, with n_max steps."""
+        return dynamics.iterate(self.spec, self.starts[0], self.budgets.n_max)
 
 
-def _starts(cfg: dict, spec):
-    if "starts" in cfg:
-        return [_parse_point(s, spec.model, f"starts[{i}]") for i, s in enumerate(cfg["starts"])]
-    if "start" in cfg:
-        return [_parse_point(cfg["start"], spec.model, "start")]
-    return dynamics._fit_starts(spec, dynamics.default_starts(spec.model))
-
-
-def _budgets(cfg: dict, args) -> dynamics.Budgets:
-    """Budgets with the config's n_max (--n-max first) and the thresholds its tolerances set.
-
-    Every Budgets field but n_max is a threshold; any other tolerances key is a config error.
-    """
-    tol = dict(cfg.get("tolerances", {}))
-    names = [f.name for f in dataclasses.fields(dynamics.Budgets) if f.name != "n_max"]
-    unknown = sorted(set(tol) - set(names))
+def _known(d: dict, keys, path: str = "", what: str = "keys") -> dict:
+    """d, checked to be an object with no key outside keys; an error names a key as path + key."""
+    if not isinstance(d, dict):
+        raise TypeError(f"expected an object for {path[:-1] or what}, got {d!r}")
+    unknown = sorted(set(d) - set(keys))
     if unknown:
-        raise ValueError(f"unknown tolerances {unknown}; the thresholds are {names}")
-    n_max = int(args.n_max if args.n_max is not None else cfg.get("n_max", dynamics.Budgets.n_max))
+        raise ValueError(f"unknown {what} {[path + k for k in unknown]}; known: {sorted(keys)}")
+    return d
+
+
+def parse_config(raw: dict, n_max: int | None = None) -> Config:
+    """The Config of raw, a loaded JSON config; n_max, when given, replaces its n_max."""
+    _known(raw, _KEYS, what="config keys")
+    thresholds = [f.name for f in dataclasses.fields(dynamics.Budgets) if f.name != "n_max"]
+    tol = _known(raw.get("tolerances", {}), thresholds, what="tolerances")
+    n_max = int(n_max if n_max is not None else raw.get("n_max", dynamics.Budgets.n_max))
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    return dynamics.Budgets(n_max=n_max, **{k: float(v) for k, v in tol.items()})
-
-
-def _first_orbit(cfg: dict, budgets: dynamics.Budgets):
-    """The orbit of the config's first start, with budgets.n_max steps."""
-    spec = _spec(cfg)
-    return dynamics.iterate(spec, _starts(cfg, spec)[0], budgets.n_max)
+    budgets = dynamics.Budgets(n_max=n_max, **{k: float(v) for k, v in tol.items()})
+    spec = maps.spec_from_dict(raw["map"]) if "map" in raw else None
+    starts = probe_starts = None
+    if spec is not None:
+        starts = dynamics._fit_starts(spec, dynamics.default_starts(spec.model))
+        if "start" in raw:
+            starts = [_parse_point(raw["start"], spec.model, "start")]
+        if "starts" in raw:
+            starts = probe_starts = [_parse_point(s, spec.model, f"starts[{i}]")
+                                     for i, s in enumerate(raw["starts"])]
+    checkpoints = tuple(raw.get("checkpoints", conjugation.DEFAULT_CHECKPOINTS))
+    if not checkpoints or not all(type(c) is int and c >= 1 for c in checkpoints):
+        raise ValueError(f"checkpoints must be integers >= 1, got {list(checkpoints)}")
+    kind = raw.get("kind", "pommerenke")
+    if kind not in _KINDS:
+        raise ValueError(f"unknown kind {kind!r}; the kinds are {sorted(_KINDS)}")
+    basepoint = _parse_point(raw.get("basepoint", [1.0, 0.0]), "halfplane", "basepoint")
+    conjugate = {"basepoint": basepoint, "checkpoints": checkpoints}
+    plot = _known(raw.get("plot", {}), _PLOT, "plot.")
+    plot = {k: type(v)(plot.get(k, v)) for k, v in _PLOT.items()}
+    suite = [] if "suite" in raw else None
+    for i, case in enumerate(raw.get("suite", [])):
+        _known(case, ("map", "start"), f"suite[{i}].")
+        row = maps.spec_from_dict(case["map"])
+        suite.append((row, _parse_point(case["start"], row.model, f"suite[{i}].start")))
+    return Config(spec, starts, probe_starts, budgets, kind, conjugate, plot, suite)
 
 
 def _orbit_rows(orbit, *series) -> tuple:
@@ -154,9 +182,7 @@ def _write_csv(path: str, header, lines) -> None:
 
 
 def cmd_classify(cfg, args) -> int:
-    spec = _spec(cfg)
-    budgets = _budgets(cfg, args)
-    rep = dynamics.classify(spec, _starts(cfg, spec), budgets)
+    rep = dynamics.classify(cfg.spec, cfg.starts, cfg.budgets)
     if rep.dw_location == "interior":
         dw_desc = repr(rep.dw_point)
     elif isinstance(rep.dw_point, dynamics.BoundaryPoint) and rep.dw_point.at_infinity:
@@ -178,7 +204,7 @@ def cmd_classify(cfg, args) -> int:
 
 
 def cmd_orbit(cfg, args) -> int:
-    orbit = _first_orbit(cfg, _budgets(cfg, args))
+    orbit = cfg.first_orbit()
     header, lines = _orbit_rows(orbit)
     _write_csv(os.path.join(args.out, "orbit.csv"), header, lines)
     print(f"orbit: {orbit.length} points, stop_reason={orbit.stop_reason}")
@@ -186,9 +212,8 @@ def cmd_orbit(cfg, args) -> int:
 
 
 def cmd_steps(cfg, args) -> int:
-    budgets = _budgets(cfg, args)
-    orbit = _first_orbit(cfg, budgets)
-    st = dynamics.step_series(orbit, budgets)
+    orbit = cfg.first_orbit()
+    st = dynamics.step_series(orbit, cfg.budgets)
     header, lines = _orbit_rows(orbit, st.s)
     _write_csv(os.path.join(args.out, "steps.csv"), header + ["s_n"], lines)
     print(f"verdict: {st.verdict}, d_inf≈{st.d_inf_estimate:.10g}")
@@ -196,10 +221,9 @@ def cmd_steps(cfg, args) -> int:
 
 
 def cmd_approach(cfg, args) -> int:
-    budgets = _budgets(cfg, args)
-    orbit = _first_orbit(cfg, budgets)
+    orbit = cfg.first_orbit()
     # the whole-orbit columns, whose last 20% the report reads
-    ap, (special, koranyi, nt, *_) = diagnostics._approach(orbit, None, budgets, whole=True)
+    ap, (special, koranyi, nt, *_) = diagnostics._approach(orbit, None, cfg.budgets, whole=True)
     rq = diagnostics.radial_quotient_series(orbit)
     # np.hypot rounds as the scalar abs does; the array abs can differ in the last bit
     header, lines = _orbit_rows(orbit, koranyi, special, nt, np.hypot(rq.real, rq.imag))
@@ -214,16 +238,9 @@ def cmd_approach(cfg, args) -> int:
 
 
 def cmd_conjugate(cfg, args) -> int:
-    spec = _spec(cfg)
-    kinds = {"pommerenke": conjugation.pommerenke_normalized,
-             "baker_pommerenke": conjugation.baker_pommerenke_normalized}
-    kind = cfg.get("kind", "pommerenke")
-    if kind not in kinds:
-        raise ValueError(f"unknown kind {kind!r}; the kinds are {sorted(kinds)}")
-    _budgets(cfg, args)  # checked only: the conjugations keep their default precheck
-    checkpoints = tuple(cfg.get("checkpoints", conjugation.DEFAULT_CHECKPOINTS))
-    basepoint = _parse_point(cfg.get("basepoint", [1.0, 0.0]), "halfplane", "basepoint")
-    res = kinds[kind](spec, basepoint=basepoint, checkpoints=checkpoints)
+    # the conjugations keep their default parabolic precheck, whatever the budgets
+    normalized = getattr(conjugation, f"{cfg.kind}_normalized")
+    res = normalized(cfg.spec, **cfg.conjugate)
     for n in res.checkpoints:
         header = ["re_g", "im_g", "re_psi", "im_psi"]
         cols = [v.tolist() for c in (res.grid, res.psi_n[n]) for v in (c.real, c.imag)]
@@ -236,16 +253,8 @@ def cmd_conjugate(cfg, args) -> int:
 
 
 def cmd_harness(cfg, args) -> int:
-    budgets = _budgets(cfg, args)
-    suite = None
-    if "suite" in cfg:
-        suite = []
-        for i, case in enumerate(cfg["suite"]):
-            spec = maps.spec_from_dict(case["map"])
-            suite.append((spec, _parse_point(case["start"], spec.model, f"suite[{i}].start")))
-    else:
-        suite = diagnostics.default_harness_suite(seed=args.seed)
-    rep = diagnostics.theorem_harness(suite, budgets)
+    suite = cfg.suite if cfg.suite is not None else diagnostics.default_harness_suite(args.seed)
+    rep = diagnostics.theorem_harness(suite, cfg.budgets)
     # the approach statistics that decided the flags, empty for skipped rows
     stats = ["special_ratio_tail_mean", "nt_tail_max", "koranyi_sup_tail",
              "euclid_nt_tail_max", "tangency_tail_max"]
@@ -276,10 +285,7 @@ def cmd_harness(cfg, args) -> int:
 
 
 def cmd_probe(cfg, args) -> int:
-    spec = _spec(cfg)
-    budgets = _budgets(cfg, args)
-    starts = _starts(cfg, spec) if ("starts" in cfg) else None
-    rep = diagnostics.conjecture_probe(spec, starts, budgets)
+    rep = diagnostics.conjecture_probe(cfg.spec, cfg.probe_starts, cfg.budgets)
     header = ["start", "verdict", "d_inf_estimate"]
     rows = [
         [repr(s).replace(",", ";"), v, _fmt(d)]
@@ -291,15 +297,8 @@ def cmd_probe(cfg, args) -> int:
 
 
 def cmd_plot(cfg, args) -> int:
-    orbit = _first_orbit(cfg, _budgets(cfg, args))
-    disk_pts = plotting.orbit_disk_coords(orbit)
-    popts = cfg.get("plot", {})
-    svg = plotting.render_orbit_svg(
-        disk_pts,
-        marker_size=float(popts.get("marker_size", 2.0)),
-        tail_highlight=int(popts.get("tail_highlight", 0)),
-        title=str(popts.get("title", "")),
-    )
+    orbit = cfg.first_orbit()
+    svg = plotting.render_orbit_svg(plotting.orbit_disk_coords(orbit), **cfg.plot)
     path = os.path.join(args.out, "plot.svg")
     write_atomic(path, svg)
     print(f"wrote {path} ({orbit.length} points)")
@@ -325,8 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=(name != "harness"), help="JSON experiment config")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--n-max", type=int, default=None)
+        if name == "harness":
+            p.add_argument("--seed", type=int, default=0, help="default suite's seed")
     return ap
 
 
@@ -335,9 +335,12 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
-    try:
-        cfg = _load_config(args.config) if args.config else {}
-    except (OSError, json.JSONDecodeError) as exc:
+    try:  # every config error shows here, before any command writes
+        raw = json.loads(pathlib.Path(args.config).read_text()) if args.config else {}
+        cfg = parse_config(raw, args.n_max)
+        if cfg.spec is None and args.command != "harness":
+            raise KeyError("config is missing the 'map' entry")
+    except (OSError, LookupError, TypeError, ValueError) as exc:  # ModelMismatchError included
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -345,9 +348,6 @@ def main(argv=None) -> int:
     except (EstimationError, PreconditionError) as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    except ModelMismatchError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except DiskDynError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -117,6 +117,57 @@ def _run_grid(spec, grid, basepoint, checkpoints):
     return samples, tuple(want)
 
 
+def _frame(kind: str, n: int, zn: complex, zn1: complex):
+    """The (shift, scale) of psi_n at checkpoint n; a degenerate one raises."""
+    if kind == "pommerenke":
+        if zn.real <= 0.0:
+            raise DegenerateInputError(f"Re f_{n}(basepoint) <= 0")
+        return 1j * zn.imag, zn.real
+    scale = zn1 - zn
+    if scale == 0.0:
+        raise DegenerateInputError(f"z_{n + 1} = z_{n}: degenerate normalization")
+    return zn, scale
+
+
+def _normalized(kind, spec, basepoint, grid, checkpoints, precheck_n) -> ConjugationResult:
+    """psi_n(z) = (f_n(z) - shift)/scale at every checkpoint, as ``_frame`` sets them.
+
+    The residual is sup |psi_n(f(g)) - psi_n(g) - increment| over the grid;
+    Pommerenke's increment is fitted (the grid mean), Baker-Pommerenke's is 1.
+    """
+    _precheck(spec, precheck_n)
+    if kind == "baker_pommerenke":
+        verdict = step_series(iterate(spec, basepoint, precheck_n)).verdict
+        if verdict != "zero_step":
+            raise PreconditionError(
+                f"basepoint orbit is {verdict}; the Abel normalization needs zero_step"
+            )
+    grid = default_grid() if grid is None else np.asarray(grid, np.complex128)
+    samples, cps = _run_grid(spec, grid, basepoint, checkpoints)
+    psi = {}
+    increments = []
+    residuals = []
+    for n in cps:
+        fn, fn1, zn, zn1 = samples[n]
+        shift, scale = _frame(kind, n, zn, zn1)
+        p = (fn - shift) / scale
+        diff = (fn1 - shift) / scale - p
+        inc = complex(diff.mean()) if kind == "pommerenke" else 1.0
+        psi[n] = p
+        increments.append(inc)
+        residuals.append(float(np.max(np.abs(diff - inc))))
+    return ConjugationResult(
+        kind,
+        grid,
+        psi,
+        float(increments[-1].imag) if kind == "pommerenke" else None,
+        np.array(increments, np.complex128),
+        np.array(residuals),
+        complex(basepoint),
+        cps,
+    )
+
+
 def pommerenke_normalized(
     spec,
     basepoint: complex = 1.0 + 0.0j,
@@ -125,34 +176,7 @@ def pommerenke_normalized(
     precheck_n: int = _PRECHECK_N,
 ) -> ConjugationResult:
     """psi_n(z) = (f_n(z) - i y_n)/x_n with z_n = f_n(basepoint)."""
-    _precheck(spec, precheck_n)
-    grid = default_grid() if grid is None else np.asarray(grid, np.complex128)
-    samples, cps = _run_grid(spec, grid, basepoint, checkpoints)
-    psi = {}
-    increments = []
-    residuals = []
-    for n in cps:
-        fn, fn1, zn, _ = samples[n]
-        xn, yn = zn.real, zn.imag
-        if xn <= 0.0:
-            raise DegenerateInputError(f"Re f_{n}(basepoint) <= 0")
-        p = (fn - 1j * yn) / xn
-        p_of_f = (fn1 - 1j * yn) / xn
-        diff = p_of_f - p
-        inc = complex(diff.mean())
-        psi[n] = p
-        increments.append(inc)
-        residuals.append(float(np.max(np.abs(diff - inc))))
-    return ConjugationResult(
-        "pommerenke",
-        grid,
-        psi,
-        float(increments[-1].imag),
-        np.array(increments),
-        np.array(residuals),
-        complex(basepoint),
-        cps,
-    )
+    return _normalized("pommerenke", spec, basepoint, grid, checkpoints, precheck_n)
 
 
 def baker_pommerenke_normalized(
@@ -163,35 +187,7 @@ def baker_pommerenke_normalized(
     precheck_n: int = _PRECHECK_N,
 ) -> ConjugationResult:
     """psi_n(z) = (f_n(z) - z_n)/(z_{n+1} - z_n); Abel residual |psi(f) - psi - 1|."""
-    _precheck(spec, precheck_n)
-    verdict = step_series(iterate(spec, basepoint, precheck_n)).verdict
-    if verdict != "zero_step":
-        raise PreconditionError(
-            f"basepoint orbit is {verdict}; the Abel normalization needs zero_step"
-        )
-    grid = default_grid() if grid is None else np.asarray(grid, np.complex128)
-    samples, cps = _run_grid(spec, grid, basepoint, checkpoints)
-    psi = {}
-    residuals = []
-    for n in cps:
-        fn, fn1, zn, zn1 = samples[n]
-        denom = zn1 - zn
-        if denom == 0.0:
-            raise DegenerateInputError(f"z_{n + 1} = z_{n}: degenerate normalization")
-        p = (fn - zn) / denom
-        p_of_f = (fn1 - zn) / denom
-        psi[n] = p
-        residuals.append(float(np.max(np.abs(p_of_f - p - 1.0))))
-    return ConjugationResult(
-        "baker_pommerenke",
-        grid,
-        psi,
-        None,
-        np.ones(len(cps), np.complex128),
-        np.array(residuals),
-        complex(basepoint),
-        cps,
-    )
+    return _normalized("baker_pommerenke", spec, basepoint, grid, checkpoints, precheck_n)
 
 
 def conjugation_report(result: ConjugationResult) -> str:

@@ -318,8 +318,7 @@ def test_a_misspelled_map_parameter_is_a_config_error(tmp_path, capsys):
 
 
 def test_budgets_default_to_dynamics_budgets(monkeypatch):
-    args = cli.build_parser().parse_args(["classify", "--config", "config.json"])
-    assert cli._budgets({}, args) == dynamics.Budgets()
+    assert cli.parse_config({}).budgets == dynamics.Budgets()
 
     @dataclass(frozen=True)
     class Other(dynamics.Budgets):
@@ -329,7 +328,7 @@ def test_budgets_default_to_dynamics_budgets(monkeypatch):
         tol_step: float = 0.125
 
     monkeypatch.setattr(dynamics, "Budgets", Other)
-    assert cli._budgets({}, args) == Other()
+    assert cli.parse_config({}).budgets == Other()
 
 
 def test_classify_command_three_dimensional_map(tmp_path):
@@ -367,6 +366,106 @@ def test_format_option_is_gone(tmp_path):
     cfg = dict(PARABOLIC, n_max=10)
     assert run(tmp_path, "orbit", cfg, ["--format", "structured"]) == cli.EXIT_USAGE
     assert not (tmp_path / "orbit.csv").exists()
+
+
+def test_seed_is_a_harness_option(tmp_path, capsys):
+    # the other commands registered --seed and never read it
+    assert run(tmp_path, "classify", PARABOLIC, ["--seed", "3"]) == cli.EXIT_USAGE
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["config.json"]
+    for command in set(cli.COMMANDS) - {"harness"}:
+        assert cli.main([command, "--config", "config.json", "--seed", "7"]) == cli.EXIT_USAGE
+    assert cli.build_parser().parse_args(["harness", "--seed", "7"]).seed == 7
+
+
+# ---------------------------------------------------------------------------
+# one checked config: main parses it before any command runs
+
+# a config every command reads without error; each key is read by some command
+_EVERY = {
+    "map": {"family": "HalfplaneAffine", "lam": 1.0, "b": [1.0, 0.0]},
+    "start": [1.0, 0.0],
+    "n_max": 2000,
+    "tolerances": {"tol_step": 1e-3},
+    "checkpoints": [10, 100],
+    "basepoint": [1.0, 0.0],
+    "kind": "baker_pommerenke",
+    "plot": {"marker_size": 1.5, "tail_highlight": 3, "title": "z + 1"},
+    "suite": [{"map": {"family": "HalfplaneAffine", "lam": 1.0, "b": [1.0, 0.0]},
+               "start": [1.0, 0.0]}],
+}
+
+
+def _misspell(level):
+    cfg = json.loads(json.dumps(_EVERY))
+    target = {"top": cfg, "tolerances": cfg["tolerances"], "plot": cfg["plot"],
+              "suite": cfg["suite"][0], "map": cfg["map"], "suite map": cfg["suite"][0]["map"]}
+    key = {"top": "n_maxx", "tolerances": "tol_stepp", "plot": "colour", "suite": "strat"}
+    target[level][key.get(level, "bb")] = 1.0
+    return cfg
+
+
+_NAMED = {
+    "top": "unknown config keys ['n_maxx']",
+    "tolerances": "unknown tolerances ['tol_stepp']",
+    "plot": "unknown keys ['plot.colour']",
+    "suite": "unknown keys ['suite[0].strat']",
+    "map": "HalfplaneAffine has no parameter ['bb']",
+    "suite map": "HalfplaneAffine has no parameter ['bb']",
+}
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_a_key_that_another_command_reads_is_allowed(tmp_path, command):
+    assert run(tmp_path, command, _EVERY) == cli.EXIT_OK
+    assert len(os.listdir(tmp_path)) > 1
+
+
+@pytest.mark.parametrize("level", sorted(_NAMED))
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_a_misspelled_key_is_a_config_error_at_every_level(tmp_path, capsys, command, level):
+    assert run(tmp_path, command, _misspell(level)) == cli.EXIT_USAGE
+    assert f"config error: {_NAMED[level]}" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
+def test_a_misspelled_budget_no_longer_runs_the_default_one(tmp_path, capsys):
+    # it ran 1e5 steps with the default thresholds and exited 0
+    cfg = {"map": _SIEGEL, "start": [[1.0, 0.0], [0.3, 0.0]], "n_maxx": 5,
+           "tolerance": {"tol_step": 1.0}}
+    assert run(tmp_path, "steps", cfg) == cli.EXIT_USAGE
+    assert "config error: unknown config keys ['n_maxx', 'tolerance']" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
+@pytest.mark.parametrize("cfg, named", [
+    ([1, 2], "config keys"),
+    (dict(PARABOLIC, tolerances=[]), "tolerances"),  # it was read as no tolerances
+    (dict(PARABOLIC, plot=5), "plot"),
+    ({"suite": [["map", "start"]]}, "suite[0]"),
+], ids=["config", "tolerances", "plot", "suite"])
+def test_a_section_that_is_not_an_object_is_a_config_error(tmp_path, capsys, cfg, named):
+    assert run(tmp_path, "harness", cfg) == cli.EXIT_USAGE
+    assert f"config error: expected an object for {named}, got" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
+@pytest.mark.parametrize("checkpoints", [[0, 10], [10.7, 100]], ids=["zero", "fraction"])
+def test_checkpoints_must_be_positive_integers(tmp_path, capsys, checkpoints):
+    # [0, 10] exited 2 from the conjugation; [10.7, 100] wrote conjugation_n10.csv
+    assert run(tmp_path, "conjugate", dict(_CONJUGATE, checkpoints=checkpoints)) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"config error: checkpoints must be integers >= 1, got {checkpoints}" in err
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
+def test_the_parsed_config_fills_in_the_defaults():
+    cfg = cli.parse_config({"map": _SIEGEL, "n_max": 10, "plot": {"title": 3}}, n_max=4)
+    assert cfg.budgets == dynamics.Budgets(n_max=4)
+    assert cfg.plot == {"marker_size": 2.0, "tail_highlight": 0, "title": "3"}
+    assert cfg.conjugate["checkpoints"] == (100, 1_000, 10_000, 100_000)
+    assert cfg.kind == "pommerenke" and cfg.suite is None and cfg.probe_starts is None
+    assert len(cfg.starts) == len(dynamics.default_starts("siegel"))
 
 
 # ---------------------------------------------------------------------------

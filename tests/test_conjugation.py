@@ -77,6 +77,27 @@ def test_baker_pommerenke_refuses_nonzero_step():
         )
 
 
+@pytest.mark.parametrize("kind", ["pommerenke", "baker_pommerenke"])
+def test_normalizations_follow_their_definitions(kind):
+    # psi_n, the increment and the residual, formed here from per-step calls, bit for bit
+    spec, basepoint = maps.HalfplanePerturbed(1.0, 0.5), 1.5 + 0.25j
+    res = getattr(conjugation, f"{kind}_normalized")(spec, basepoint, checkpoints=(7, 40))
+    cur = np.concatenate((conjugation.default_grid(), [basepoint]))
+    n = 0
+    for k, c in enumerate(res.checkpoints):
+        for _ in range(n, c):
+            cur = spec(cur)
+        n, nxt = c, spec(cur)
+        zn, zn1 = complex(cur[-1]), complex(nxt[-1])
+        shift, scale = (1j * zn.imag, zn.real) if kind == "pommerenke" else (zn, zn1 - zn)
+        psi, psi_of_f = (cur[:-1] - shift) / scale, (nxt[:-1] - shift) / scale
+        inc = complex((psi_of_f - psi).mean()) if kind == "pommerenke" else 1.0
+        assert np.array_equal(res.psi_n[c], psi)
+        assert res.increment_series[k] == inc
+        assert res.residual_series[k] == np.max(np.abs(psi_of_f - psi - inc))
+    assert res.b_estimate == (inc.imag if kind == "pommerenke" else None)
+
+
 def test_deltas_shrink_for_convergent_case():
     res = conjugation.pommerenke_normalized(maps.HalfplanePerturbed(1j, 1.0), checkpoints=CPS)
     d = res.deltas
