@@ -10,11 +10,7 @@ from .errors import (
     PreconditionError,
 )
 from .geometry import (
-    BallPoint,
     BoundaryPoint,
-    DiskPoint,
-    HalfPlanePoint,
-    SiegelPoint,
     cayley_ball_to_siegel,
     cayley_disk_to_halfplane,
     cayley_halfplane_to_disk,

@@ -6,21 +6,21 @@ its outputs under ``--out``; CSV output is comma-delimited with '.' decimals and
 2 inconclusive verdict or failed harness row, 3 numeric failure.
 
 ``main`` checks the whole config before any command runs.  A key that no
-command reads is a config error naming its path (``n_maxx``, ``plot.colour``,
-``suite[0].strat``); one that only another command reads is allowed, so that
-one config serves several commands.  Every key is optional, but only ``harness``
-runs without ``map``::
+command reads, or a value of the wrong type, shape or N, is a config error
+naming its path (``n_maxx``, ``plot.colour``, ``suite[0].start``); a key that
+only another command reads is allowed, so that one config serves several
+commands.  Every key is optional, but only ``harness`` runs without ``map``::
 
     {
       "map": {"family": "HalfplaneAffine", "lam": 1.0, "b": [0.0, 1.0]},
-      "start": [1.0, 0.0],            # complex as [re, im]; ball/Siegel points
-      "starts": [[1.0, 0.0], ...],    #   as [[re, im], [re, im], ...]
-      "n_max": 100000,                # --n-max replaces it
-      "tolerances": {"tol_c": 1e-3, "tol_step": 1e-3},   # any Budgets threshold
+      "start": [1.0, 0.0],            # a number or one [re, im] pair; a ball/Siegel point
+      "starts": [[1.0, 0.0], ...],    #   may be N pairs, N the map's where the map fixes it
+      "n_max": 100000,                # an integer >= 0; --n-max replaces it
+      "tolerances": {"tol_c": 1e-3, "tol_step": 1e-3},   # numbers, for any Budgets threshold
       "checkpoints": [100, 1000, 10000, 100000],          # conjugate: integers >= 1
       "basepoint": [1.0, 0.0],        # conjugate, a half-plane point
       "kind": "pommerenke",           # conjugate, or "baker_pommerenke"
-      "plot": {"marker_size": 2.0, "tail_highlight": 0, "title": ""},
+      "plot": {"marker_size": 2.0, "tail_highlight": 0, "title": ""},  # number, int >= 0, string
       "suite": [{"map": {...}, "start": [1.0, 0.0]}, ...]   # harness rows
     }
 """
@@ -63,14 +63,38 @@ def write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _parse_point(v, model: str, key: str):
-    """The config point v of the model; a point outside its domain is a config error naming key."""
-    if isinstance(v, (int, float)):
-        v = [v, 0.0]
-    # one [re, im] pair or a list of them; a planar point is the first pair
-    pts = [complex(c[0], c[1]) for c in (v if v and isinstance(v[0], list) else [v])]
-    m = maps.MODELS[model]
-    p = pts[0] if m.planar else np.array(pts, np.complex128)
+# each rule a config value must meet, by the words its error names it with
+_RULES = {
+    "a number": lambda x: isinstance(x, (int, float)) and not isinstance(x, bool),
+    "an integer": lambda x: type(x) is int,
+    "an integer >= 0": lambda x: type(x) is int and x >= 0,
+    "integers >= 1": lambda x: (isinstance(x, (list, tuple)) and len(x) > 0
+                                and all(type(c) is int and c >= 1 for c in x)),
+    "a string or a number": lambda x: isinstance(x, str) or _RULES["a number"](x),
+    "a list": lambda x: isinstance(x, list),
+    "a non-empty list": lambda x: isinstance(x, list) and len(x) > 0,
+}
+
+
+def _must(x, key: str, rule: str):
+    """x, checked to meet the rule; a config error names key."""
+    if not _RULES[rule](x):
+        raise ValueError(f"{key} must be {rule}, got {x!r}")
+    return x
+
+
+def _parse_point(v, model: str, key: str, dim: int | None = None):
+    """The point v of the model: a number, an [re, im] pair or a list of N pairs (N = 1 if planar,
+    dim where the map fixes N); another shape or N, or a point outside, is an error naming key."""
+    m, number = maps.MODELS[model], _RULES["a number"]
+    nested = isinstance(v, list) and v and isinstance(v[0], list)
+    pairs = [[v, 0.0]] if number(v) else v if nested else [v]
+    if not all(isinstance(c, list) and len(c) == 2 and all(map(number, c)) for c in pairs):
+        raise ValueError(f"{key} must be a number, an [re, im] pair or a list of them, got {v!r}")
+    dim = 1 if m.planar else dim
+    if dim not in (None, len(pairs)):
+        raise ValueError(f"{key} has {len(pairs)} coordinates, not N = {dim}")
+    p = m.point(np.array([complex(*c) for c in pairs]))
     if not m.contains(p):
         raise ValueError(f"{key} lies outside the {model} domain")
     return p
@@ -78,7 +102,9 @@ def _parse_point(v, model: str, key: str):
 
 _KEYS = ("map", "start", "starts", "n_max", "tolerances", "checkpoints", "basepoint", "kind",
          "plot", "suite")
-_PLOT = {"marker_size": 2.0, "tail_highlight": 0, "title": ""}  # a value takes its default's type
+# each plot value's default, whose type a value takes, and its rule
+_PLOT = {"marker_size": (2.0, "a number"), "tail_highlight": (0, "an integer >= 0"),
+         "title": ("", "a string or a number")}
 _KINDS = ("pommerenke", "baker_pommerenke")
 
 
@@ -115,34 +141,37 @@ def parse_config(raw: dict, n_max: int | None = None) -> Config:
     _known(raw, _KEYS, what="config keys")
     thresholds = [f.name for f in dataclasses.fields(dynamics.Budgets) if f.name != "n_max"]
     tol = _known(raw.get("tolerances", {}), thresholds, what="tolerances")
-    n_max = int(n_max if n_max is not None else raw.get("n_max", dynamics.Budgets.n_max))
-    if n_max < 0:
+    n_max = n_max if n_max is not None else raw.get("n_max", dynamics.Budgets.n_max)
+    if _must(n_max, "n_max", "an integer") < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    budgets = dynamics.Budgets(n_max=n_max, **{k: float(v) for k, v in tol.items()})
+    budgets = dynamics.Budgets(
+        n_max=n_max, **{k: float(_must(v, f"tolerances.{k}", "a number")) for k, v in tol.items()})
     spec = maps.spec_from_dict(raw["map"]) if "map" in raw else None
     starts = probe_starts = None
     if spec is not None:
+        dim = maps.fixed_dim(spec)
         starts = dynamics._fit_starts(spec, dynamics.default_starts(spec.model))
         if "start" in raw:
-            starts = [_parse_point(raw["start"], spec.model, "start")]
+            starts = [_parse_point(raw["start"], spec.model, "start", dim)]
         if "starts" in raw:
-            starts = probe_starts = [_parse_point(s, spec.model, f"starts[{i}]")
-                                     for i, s in enumerate(raw["starts"])]
-    checkpoints = tuple(raw.get("checkpoints", conjugation.DEFAULT_CHECKPOINTS))
-    if not checkpoints or not all(type(c) is int and c >= 1 for c in checkpoints):
-        raise ValueError(f"checkpoints must be integers >= 1, got {list(checkpoints)}")
+            listed = _must(raw["starts"], "starts", "a non-empty list")
+            starts = probe_starts = [_parse_point(s, spec.model, f"starts[{i}]", dim)
+                                     for i, s in enumerate(listed)]
+    checkpoints = raw.get("checkpoints", conjugation.DEFAULT_CHECKPOINTS)
+    checkpoints = tuple(_must(checkpoints, "checkpoints", "integers >= 1"))
     kind = raw.get("kind", "pommerenke")
     if kind not in _KINDS:
         raise ValueError(f"unknown kind {kind!r}; the kinds are {sorted(_KINDS)}")
     basepoint = _parse_point(raw.get("basepoint", [1.0, 0.0]), "halfplane", "basepoint")
     conjugate = {"basepoint": basepoint, "checkpoints": checkpoints}
     plot = _known(raw.get("plot", {}), _PLOT, "plot.")
-    plot = {k: type(v)(plot.get(k, v)) for k, v in _PLOT.items()}
+    plot = {k: type(d)(_must(plot.get(k, d), f"plot.{k}", rule)) for k, (d, rule) in _PLOT.items()}
     suite = [] if "suite" in raw else None
-    for i, case in enumerate(raw.get("suite", [])):
+    for i, case in enumerate(_must(raw.get("suite", []), "suite", "a list")):
         _known(case, ("map", "start"), f"suite[{i}].")
         row = maps.spec_from_dict(case["map"])
-        suite.append((row, _parse_point(case["start"], row.model, f"suite[{i}].start")))
+        start = _parse_point(case["start"], row.model, f"suite[{i}].start", maps.fixed_dim(row))
+        suite.append((row, start))
     return Config(spec, starts, probe_starts, budgets, kind, conjugate, plot, suite)
 
 

@@ -21,7 +21,7 @@ from . import maps
 from .dynamics import (
     _PRECHECK_N, Budgets, Orbit, _fit_starts, _require_parabolic, classify, iterate, step_series,
 )
-from .errors import PreconditionError
+from .errors import ModelMismatchError, PreconditionError
 from .geometry import MODELS, BoundaryPoint
 
 __all__ = [
@@ -188,7 +188,10 @@ class HarnessReport:
 
 
 def _spec_label(spec) -> str:
-    d = maps.spec_to_dict(spec)
+    try:
+        d = maps.spec_to_dict(spec)
+    except ModelMismatchError:  # a map of no built-in family is labelled by its repr
+        return repr(spec)
 
     def flat(x):
         if isinstance(x, dict):

@@ -40,7 +40,7 @@ its 1 - ||Z||^2 cancels in the stored coordinates near the sphere.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,10 +49,6 @@ from .errors import DegenerateInputError, DomainError, ModelMismatchError
 __all__ = [
     "MODELS",
     "Model",
-    "DiskPoint",
-    "HalfPlanePoint",
-    "BallPoint",
-    "SiegelPoint",
     "BoundaryPoint",
     "cayley_halfplane_to_disk",
     "cayley_disk_to_halfplane",
@@ -70,75 +66,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# point types
-
-
-@dataclass(frozen=True)
-class DiskPoint:
-    """A point of the open unit disk."""
-
-    z: complex
-
-    def __post_init__(self):
-        object.__setattr__(self, "z", _coords("disk", self.z))
-
-
-@dataclass(frozen=True)
-class HalfPlanePoint:
-    """A point of the open right half-plane."""
-
-    z: complex
-
-    def __post_init__(self):
-        object.__setattr__(self, "z", _coords("halfplane", self.z))
-
-
-def _freeze_vector(v) -> np.ndarray:
-    arr = np.array(v, dtype=np.complex128).reshape(-1)
-    arr.setflags(write=False)
-    return arr
-
-
-@dataclass(frozen=True)
-class BallPoint:
-    """A point of the unit ball B^N, split as (z1, w) with w in C^{N-1}."""
-
-    z1: complex
-    w: np.ndarray = field(default_factory=lambda: np.empty(0, np.complex128))
-
-    def __post_init__(self):
-        object.__setattr__(self, "z1", complex(self.z1))
-        object.__setattr__(self, "w", _freeze_vector(self.w))
-        _coords("ball", self.coords)
-
-    @property
-    def dim(self) -> int:
-        return 1 + self.w.size
-
-    @property
-    def coords(self) -> np.ndarray:
-        return np.concatenate(([self.z1], self.w))
-
-
-@dataclass(frozen=True)
-class SiegelPoint:
-    """A point of the Siegel half-plane H^N: Re z > ||w||^2."""
-
-    z: complex
-    w: np.ndarray = field(default_factory=lambda: np.empty(0, np.complex128))
-
-    def __post_init__(self):
-        object.__setattr__(self, "z", complex(self.z))
-        object.__setattr__(self, "w", _freeze_vector(self.w))
-        _coords("siegel", self.coords)
-
-    @property
-    def dim(self) -> int:
-        return 1 + self.w.size
-
-    @property
-    def coords(self) -> np.ndarray:
-        return np.concatenate(([self.z], self.w))
+# boundary points and point coercion
 
 
 @dataclass(frozen=True)
@@ -173,16 +101,8 @@ class BoundaryPoint:
         return cls(v)
 
 
-# ---------------------------------------------------------------------------
-# coercion helpers: every public op accepts the dataclass or a raw value
-
-
 def _coords(name: str, p):
-    """A point dataclass or a raw value as a point of the model; DomainError unless interior."""
-    if isinstance(p, (BallPoint, SiegelPoint)):
-        p = p.coords
-    elif isinstance(p, (DiskPoint, HalfPlanePoint)):
-        p = p.z
+    """p as a point of the model (Model.point); DomainError unless interior."""
     model = MODELS[name]
     p = model.point(p)
     if not model.contains(p):
@@ -204,29 +124,28 @@ def _x_vector(X, dim: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Cayley transforms
+# Cayley transforms: each checks that p is interior and returns coordinates,
+# a complex for the planar models and a new (N,) complex128 array otherwise
 
 
-def cayley_halfplane_to_disk(p) -> DiskPoint:
+def cayley_halfplane_to_disk(p) -> complex:
     """C(z) = (z - 1)/(z + 1); sends 1 -> 0 and infinity -> 1."""
-    return DiskPoint(siegel_to_ball_array(_coords("halfplane", p)))
+    return siegel_to_ball_array(_coords("halfplane", p))
 
 
-def cayley_disk_to_halfplane(p) -> HalfPlanePoint:
+def cayley_disk_to_halfplane(p) -> complex:
     """Inverse transform (1 + u)/(1 - u)."""
-    return HalfPlanePoint(ball_to_siegel_array(_coords("disk", p)))
+    return ball_to_siegel_array(_coords("disk", p))
 
 
-def cayley_ball_to_siegel(p) -> SiegelPoint:
+def cayley_ball_to_siegel(p) -> np.ndarray:
     """Psi(z1, w) = ((1 + z1)/(1 - z1), w/(1 - z1)); sends (1,0) -> infinity."""
-    P = ball_to_siegel_array(_coords("ball", p))
-    return SiegelPoint(P[0], P[1:])
+    return ball_to_siegel_array(_coords("ball", p))
 
 
-def cayley_siegel_to_ball(p) -> BallPoint:
+def cayley_siegel_to_ball(p) -> np.ndarray:
     """Inverse transform (z - 1)/(z + 1), 2w/(z + 1)."""
-    Z = siegel_to_ball_array(_coords("siegel", p))
-    return BallPoint(Z[0], Z[1:])
+    return siegel_to_ball_array(_coords("siegel", p))
 
 
 # the array-level pair behind every Cayley transform in the package: a number

@@ -33,12 +33,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import DomainError, EvaluationError, ModelMismatchError
-from .geometry import MODELS, _margin, _norm2
-
-
-def _c(x) -> complex:
-    return complex(x)
+from .errors import EvaluationError, ModelMismatchError
+from .geometry import MODELS, _coords, _margin, _norm2
 
 
 @dataclass(frozen=True)
@@ -52,7 +48,7 @@ class DiskMoebius:
     _conj_a: complex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _c(self.a))
+        object.__setattr__(self, "a", complex(self.a))
         object.__setattr__(self, "theta", float(self.theta))
         object.__setattr__(self, "_rot", np.exp(1j * self.theta))
         object.__setattr__(self, "_conj_a", np.conjugate(self.a))
@@ -77,7 +73,7 @@ class HalfplaneAffine:
 
     def __post_init__(self):
         object.__setattr__(self, "lam", float(self.lam))
-        object.__setattr__(self, "b", _c(self.b))
+        object.__setattr__(self, "b", complex(self.b))
 
     def __call__(self, z):
         return self.lam * z + self.b
@@ -99,8 +95,8 @@ class HalfplanePerturbed:
     model: ClassVar[str] = "halfplane"
 
     def __post_init__(self):
-        object.__setattr__(self, "b", _c(self.b))
-        object.__setattr__(self, "c", _c(self.c))
+        object.__setattr__(self, "b", complex(self.b))
+        object.__setattr__(self, "c", complex(self.c))
 
     def __call__(self, z):
         return z + self.b + self.c / (z + 1.0)
@@ -123,7 +119,7 @@ class SiegelTranslation:
     model: ClassVar[str] = "siegel"
 
     def __post_init__(self):
-        object.__setattr__(self, "b", _c(self.b))
+        object.__setattr__(self, "b", complex(self.b))
 
     def __call__(self, pt):
         out = np.array(pt, np.complex128)
@@ -148,7 +144,7 @@ class HeisenbergTranslation:
     _shift: complex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(_c(x) for x in self.a))
+        object.__setattr__(self, "a", tuple(complex(x) for x in self.a))
         object.__setattr__(self, "b", float(self.b))
         arr = np.array(self.a, np.complex128)
         arr.setflags(write=False)
@@ -353,12 +349,8 @@ def domain_margin(model: str, pt) -> float:
 
 def evaluate(spec, pt):
     """Apply spec to a point of its model; checks that the image stays inside."""
-    model = MODELS[spec.model]
-    pt = model.point(pt)
-    if not model.contains(pt):
-        raise DomainError(f"point outside the {spec.model} domain")
-    out = spec(pt)
-    m = model.margin(out)
+    out = spec(_coords(spec.model, pt))
+    m = domain_margin(spec.model, out)
     if not m > 0.0:
         raise EvaluationError(f"image left the {spec.model} domain", margin=m)
     return out

@@ -44,7 +44,8 @@ def render_orbit_svg(
         f'<circle cx="{_fmt(_CENTER)}" cy="{_fmt(_CENTER)}" r="{_fmt(_SCALE)}" '
         'fill="none" stroke="black" stroke-width="1"/>',
     ]
-    if title:
+    if title:  # XML-escaped as xml.sax.saxutils.escape does, without its urllib imports
+        title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         out.append(f'<text x="10" y="20" font-size="14">{title}</text>')
     pts = np.atleast_1d(np.asarray(disk_pts, np.complex128))
     # the operations of _xy on every point at once, each coordinate formatted once

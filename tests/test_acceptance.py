@@ -41,7 +41,7 @@ def test_criterion_01_metric_correctness():
         d = g.pdist_halfplane(z, w)
         ok &= abs(d - g.pdist_halfplane(w, z)) < 1e-12
         du = g.pdist_disk(
-            g.cayley_halfplane_to_disk(z).z, g.cayley_halfplane_to_disk(w).z
+            g.cayley_halfplane_to_disk(z), g.cayley_halfplane_to_disk(w)
         )
         ok &= abs(d - du) < 1e-12
 
@@ -52,7 +52,7 @@ def test_criterion_01_metric_correctness():
         d = g.pdist_siegel(p, q)
         ok &= abs(d - g.pdist_siegel(q, p)) < 1e-10
         db = g.pdist_ball(
-            g.cayley_siegel_to_ball(p).coords, g.cayley_siegel_to_ball(q).coords
+            g.cayley_siegel_to_ball(p), g.cayley_siegel_to_ball(q)
         )
         ok &= abs(d - db) < 1e-10
 

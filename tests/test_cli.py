@@ -468,6 +468,83 @@ def test_the_parsed_config_fills_in_the_defaults():
     assert len(cfg.starts) == len(dynamics.default_starts("siegel"))
 
 
+# a value of the wrong type, shape or N is a config error that names its key
+
+_HEISENBERG_N2 = {"family": "HeisenbergTranslation", "a": [[1, 0]]}
+_THREE_PAIRS = [[2.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+
+
+@pytest.mark.parametrize("command, extra, message", [
+    ("orbit", {"start": [1.0]},
+     "start must be a number, an [re, im] pair or a list of them, got [1.0]"),
+    ("orbit", {"start": []}, "start must be a number, an [re, im] pair or a list of them, got []"),
+    ("orbit", {"start": [[1.0, 0.0], 2.0]},
+     "start must be a number, an [re, im] pair or a list of them, got [[1.0, 0.0], 2.0]"),
+    ("orbit", {"start": True},
+     "start must be a number, an [re, im] pair or a list of them, got True"),
+    ("orbit", {"map": _HEISENBERG_N2, "start": _THREE_PAIRS}, "start has 3 coordinates, not N = 2"),
+    ("harness", {"suite": [{"map": _HEISENBERG_N2, "start": _THREE_PAIRS}]},
+     "suite[0].start has 3 coordinates, not N = 2"),
+    ("orbit", {"start": [[1.0, 0.0], [2.0, 0.0]]}, "start has 2 coordinates, not N = 1"),
+    ("conjugate", {"basepoint": [[1.0, 0.0], [2.0, 0.0]]}, "basepoint has 2 coordinates, not N = 1"),
+    ("orbit", {"starts": 3}, "starts must be a non-empty list, got 3"),
+    ("orbit", {"starts": []}, "starts must be a non-empty list, got []"),
+    ("conjugate", {"checkpoints": 5}, "checkpoints must be integers >= 1, got 5"),
+    ("harness", {"suite": 5}, "suite must be a list, got 5"),
+    ("orbit", {"n_max": "abc"}, "n_max must be an integer, got 'abc'"),
+    ("orbit", {"n_max": 100.7}, "n_max must be an integer, got 100.7"),
+    ("orbit", {"n_max": True}, "n_max must be an integer, got True"),
+    ("orbit", {"tolerances": {"tol_step": "abc"}},
+     "tolerances.tol_step must be a number, got 'abc'"),
+    ("plot", {"plot": {"marker_size": "big"}}, "plot.marker_size must be a number, got 'big'"),
+    ("plot", {"plot": {"tail_highlight": 2.7}},
+     "plot.tail_highlight must be an integer >= 0, got 2.7"),
+    ("plot", {"plot": {"tail_highlight": -1}},
+     "plot.tail_highlight must be an integer >= 0, got -1"),
+    ("plot", {"plot": {"title": [1]}}, "plot.title must be a string or a number, got [1]"),
+], ids=["start-short", "start-empty", "start-bare-number-pair", "start-bool", "start-N",
+        "suite-start-N", "start-planar-pairs", "basepoint-pairs", "starts-int", "starts-empty",
+        "checkpoints-int", "suite-int", "n_max-string", "n_max-fraction", "n_max-bool",
+        "tolerances-string", "marker_size-string", "tail_highlight-fraction",
+        "tail_highlight-negative", "title-list"])
+def test_a_value_of_the_wrong_type_shape_or_n_is_a_config_error(tmp_path, capsys, command,
+                                                                 extra, message):
+    # these ran on a truncated or converted value, or stopped with a message
+    # that named no key ("list index out of range", "'int' object is not iterable")
+    cfg = {**PARABOLIC, "n_max": 10, "checkpoints": [10], **extra}
+    assert run(tmp_path, command, cfg) == cli.EXIT_USAGE
+    assert f"config error: {message}\n" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
+@pytest.mark.parametrize("model, forms", [
+    ("halfplane", [2, 2.0, [2, 0], [2.0, 0.0], [[2.0, 0.0]]]),
+    ("siegel", [2.0, [2.0, 0.0], [[2.0, 0.0]]]),
+])
+def test_the_point_forms_that_parse(model, forms):
+    spec = {"halfplane": PARABOLIC["map"], "siegel": _SIEGEL}[model]
+    got = [cli.parse_config({"map": spec, "start": v}).starts[0] for v in forms]
+    for p in got:
+        assert type(p) is type(got[0]) and np.array_equal(p, got[0])
+    assert np.array_equal(got[0], 2.0 if model == "halfplane" else [2.0])
+
+
+def test_a_map_that_fixes_n_takes_n_pairs():
+    cfg = cli.parse_config({"map": _HEISENBERG_N2, "starts": [[[2.0, 0.0], [0.1, 0.0]]] * 5,
+                            "suite": [{"map": _HEISENBERG_N2, "start": [[2.0, 0.0], [0.0, 0.0]]}]})
+    assert [p.shape for p in cfg.starts] == [(2,)] * 5 and cfg.suite[0][1].shape == (2,)
+
+
+def test_a_plot_title_is_escaped(tmp_path):
+    # it was written raw, and the SVG was not well-formed XML
+    from xml.etree import ElementTree
+
+    title = "f & g <1>"
+    assert run(tmp_path, "plot", dict(PARABOLIC, n_max=10, plot={"title": title})) == cli.EXIT_OK
+    root = ElementTree.parse(tmp_path / "plot.svg").getroot()
+    assert [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")] == [title]
+
+
 # ---------------------------------------------------------------------------
 # the column-wise CSV writer against the cell-by-cell loop it replaced
 

@@ -5,7 +5,7 @@ import pytest
 
 from diskdyn import diagnostics, dynamics, geometry, maps
 from diskdyn.dynamics import Budgets
-from diskdyn.errors import PreconditionError
+from diskdyn.errors import ModelMismatchError, PreconditionError
 from diskdyn.geometry import BoundaryPoint
 
 
@@ -250,6 +250,34 @@ def test_probe_rejects_non_parabolic():
 def test_probe_needs_five_starts():
     with pytest.raises(PreconditionError):
         diagnostics.conjecture_probe(maps.HalfplaneAffine(1.0, 1.0), starts=[1.0, 2.0])
+
+
+class SiegelShift:
+    """(z, w) -> (z + 1, w), a Siegel map of no built-in family: spec_to_dict cannot serialize it."""
+
+    model = "siegel"
+
+    def __call__(self, pt):
+        return pt + np.array([1.0, 0.0])
+
+    def __repr__(self):
+        return "SiegelShift()"
+
+
+def test_harness_and_probe_label_a_map_of_no_built_in_family_by_its_repr():
+    # both raised ModelMismatchError ("cannot serialize SiegelShift") from the label
+    spec, budgets = SiegelShift(), Budgets(n_max=20_000)
+    with pytest.raises(ModelMismatchError, match="cannot serialize SiegelShift"):
+        maps.spec_to_dict(spec)
+    assert dynamics.classify(spec, budgets=budgets).type == "parabolic"
+    rep = diagnostics.theorem_harness([(spec, np.array([1.0, 0.3], np.complex128))], budgets)
+    assert [(r.label, r.passed, r.step_verdict) for r in rep.rows] == [
+        ("SiegelShift()", True, "zero_step")]
+    probe = diagnostics.conjecture_probe(spec, budgets=budgets)
+    assert probe.label == "SiegelShift()" and probe.flag == "CONSISTENT"
+    # a built-in family keeps its label from spec_to_dict
+    label = diagnostics.theorem_harness([(maps.SiegelTranslation(1.0), [1.0, 0.3])], budgets)
+    assert label.rows[0].label == "SiegelTranslation(b=[1.0, 0.0])"
 
 
 def test_harness_classifies_each_distinct_spec_once(monkeypatch):

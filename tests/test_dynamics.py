@@ -1009,12 +1009,13 @@ def test_nan_start_is_outside_the_domain(spec, start):
 
 
 def test_non_finite_point_dataclasses_are_rejected():
-    for make, args in [(geometry.DiskPoint, (complex(0.1, _NAN),)),
-                       (geometry.HalfPlanePoint, (complex(1.0, np.inf),)),
-                       (geometry.BallPoint, (0.1, [complex(0.0, _NAN)])),
-                       (geometry.SiegelPoint, (complex(1.0, _NAN), [0.0]))]:
+    # a non-finite coordinate is outside every domain, whichever transform reads it
+    for cayley, p in [(geometry.cayley_disk_to_halfplane, complex(0.1, _NAN)),
+                      (geometry.cayley_halfplane_to_disk, complex(1.0, np.inf)),
+                      (geometry.cayley_ball_to_siegel, [0.1, complex(0.0, _NAN)]),
+                      (geometry.cayley_siegel_to_ball, [complex(1.0, _NAN), 0.0])]:
         with pytest.raises(DomainError):
-            make(*args)
+            cayley(p)
 
 
 def test_unknown_model_name_is_a_model_mismatch():

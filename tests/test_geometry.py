@@ -55,8 +55,8 @@ def test_ball_metric_reference_value():
 
 def test_halfplane_metric_matches_disk_pullback():
     z, w = 2.0 + 1.0j, 0.5 - 0.3j
-    dz = g.cayley_halfplane_to_disk(z).z
-    dw = g.cayley_halfplane_to_disk(w).z
+    dz = g.cayley_halfplane_to_disk(z)
+    dw = g.cayley_halfplane_to_disk(w)
     assert g.pdist_halfplane(z, w) == pytest.approx(g.pdist_disk(dz, dw), abs=1e-14)
 
 
@@ -107,24 +107,24 @@ def test_disk_is_onedim_ball():
 
 
 def test_cayley_planar_roundtrip_and_normalization():
-    assert g.cayley_halfplane_to_disk(1.0).z == 0.0
+    assert g.cayley_halfplane_to_disk(1.0) == 0.0
     # large Re z approaches the distinguished boundary point 1
-    assert abs(g.cayley_halfplane_to_disk(1e9).z - 1.0) < 3e-9
+    assert abs(g.cayley_halfplane_to_disk(1e9) - 1.0) < 3e-9
     rng = np.random.default_rng(6)
     for _ in range(200):
         z = complex(np.exp(rng.uniform(-2, 5)), rng.normal(0, 10))
-        back = g.cayley_disk_to_halfplane(g.cayley_halfplane_to_disk(z)).z
+        back = g.cayley_disk_to_halfplane(g.cayley_halfplane_to_disk(z))
         assert back == pytest.approx(z, rel=1e-12)
 
 
 def test_cayley_ball_roundtrip_and_normalization():
     rng = np.random.default_rng(7)
     p = g.cayley_ball_to_siegel(np.array([0.0, 0.0], np.complex128))
-    assert p.z == 1.0 and np.all(p.w == 0.0)
+    assert p[0] == 1.0 and np.all(p[1:] == 0.0)
     for _ in range(200):
         Z = rand_ball(rng)
         S = g.cayley_ball_to_siegel(Z)
-        back = g.cayley_siegel_to_ball(S).coords
+        back = g.cayley_siegel_to_ball(S)
         assert np.allclose(back, Z, atol=1e-12)
 
 
@@ -157,11 +157,11 @@ def test_cayley_pair_on_numbers_keeps_their_arithmetic():
     for u in _disk_samples(rng):
         for x in (u, np.complex128(u)):
             assert _bits(g.ball_to_siegel_array(x)) == _bits((1.0 + x) / (1.0 - x))
-        assert _bits(g.cayley_disk_to_halfplane(u).z) == _bits((1.0 + u) / (1.0 - u))
+        assert _bits(g.cayley_disk_to_halfplane(u)) == _bits((1.0 + u) / (1.0 - u))
     for z in _planar_samples(rng):
         # on the boundary or far out, the image is (or rounds onto) the circle
         if z.real > 0.0 and abs((z - 1.0) / (z + 1.0)) < 1.0:
-            assert _bits(g.cayley_halfplane_to_disk(z).z) == _bits((z - 1.0) / (z + 1.0))
+            assert _bits(g.cayley_halfplane_to_disk(z)) == _bits((z - 1.0) / (z + 1.0))
 
 
 def _siegel_to_ball_point(arr):
@@ -192,8 +192,8 @@ def test_cayley_pair_on_points_and_orbits(dim):
     for p, b in zip(P, B):
         assert _bits(g.siegel_to_ball_array(p)) == _bits(_siegel_to_ball_point(p))
         assert _bits(g.ball_to_siegel_array(b)) == _bits(_ball_to_siegel_point(b))
-        assert _bits(g.cayley_siegel_to_ball(p).coords) == _bits(_siegel_to_ball_point(p))
-        assert _bits(g.cayley_ball_to_siegel(b).coords) == _bits(_ball_to_siegel_point(b))
+        assert _bits(g.cayley_siegel_to_ball(p)) == _bits(_siegel_to_ball_point(p))
+        assert _bits(g.cayley_ball_to_siegel(b)) == _bits(_ball_to_siegel_point(b))
     assert _bits(g.siegel_to_ball_array(P)) == _bits(_siegel_to_ball_rows(P))
     rows = np.array([_ball_to_siegel_point(b) for b in B])
     assert _bits(g.ball_to_siegel_array(B)) == _bits(rows)
@@ -213,7 +213,7 @@ def test_cayley_is_isometry_planar():
     for _ in range(300):
         z = complex(np.exp(rng.uniform(-2, 5)), rng.normal(0, 5))
         w = complex(np.exp(rng.uniform(-2, 5)), rng.normal(0, 5))
-        du = g.pdist_disk(g.cayley_halfplane_to_disk(z).z, g.cayley_halfplane_to_disk(w).z)
+        du = g.pdist_disk(g.cayley_halfplane_to_disk(z), g.cayley_halfplane_to_disk(w))
         assert g.pdist_halfplane(z, w) == pytest.approx(du, abs=1e-12)
 
 
@@ -221,7 +221,7 @@ def test_cayley_is_isometry_siegel():
     rng = np.random.default_rng(9)
     for _ in range(300):
         P, Q = rand_siegel(rng), rand_siegel(rng)
-        dball = g.pdist_ball(g.cayley_siegel_to_ball(P).coords, g.cayley_siegel_to_ball(Q).coords)
+        dball = g.pdist_ball(g.cayley_siegel_to_ball(P), g.cayley_siegel_to_ball(Q))
         assert g.pdist_siegel(P, Q) == pytest.approx(dball, abs=1e-10)
 
 
@@ -302,19 +302,36 @@ def test_tangency_angle_radial_is_zero():
     assert g.tangency_angle(np.array([0.9, 0.0]), e1) == pytest.approx(0.0, abs=1e-15)
 
 
-# --- point types and errors -------------------------------------------------
+# --- points and errors ------------------------------------------------------
 
 
 def test_point_validation():
     with pytest.raises(DomainError):
-        g.DiskPoint(1.5)
+        g.cayley_disk_to_halfplane(1.5)
     with pytest.raises(DomainError):
-        g.HalfPlanePoint(-1.0)
+        g.cayley_halfplane_to_disk(-1.0)
     with pytest.raises(DomainError):
-        g.BallPoint(0.8, [0.8])
+        g.cayley_ball_to_siegel([0.8, 0.8])
     with pytest.raises(DomainError):
-        g.SiegelPoint(0.1, [0.5])
-    g.SiegelPoint(0.3, [0.5])  # Re z > ||w||^2 holds
+        g.cayley_siegel_to_ball([0.1, 0.5])
+    g.cayley_siegel_to_ball([0.3, 0.5])  # Re z > ||w||^2 holds
+
+
+def test_cayley_transforms_return_coordinates():
+    for fn, p in [(g.cayley_halfplane_to_disk, 2.0), (g.cayley_disk_to_halfplane, 0.5)]:
+        assert type(fn(p)) is complex
+        assert type(fn(np.complex128(p))) is complex
+    for fn, model in [(g.cayley_ball_to_siegel, "ball"), (g.cayley_siegel_to_ball, "siegel")]:
+        p = g.MODELS[model].starts[1]
+        q = np.array(p, np.complex128)
+        out = fn(q)
+        assert out.dtype == np.complex128 and out.shape == (2,) and out.flags.writeable
+        assert not np.shares_memory(out, q)
+        assert _bits(fn(p)) == _bits(out)
+    # only the argument is checked: a far-out point's image, rounded onto the
+    # circle, comes back as Model.to_ball gives it
+    assert _bits(g.cayley_halfplane_to_disk(1e17)) == _bits(g.MODELS["halfplane"].to_ball(1e17 + 0j))
+    assert g.cayley_halfplane_to_disk(1e17) == 1.0
 
 
 def test_boundary_point():
@@ -328,9 +345,9 @@ def test_boundary_point():
 
 
 def test_frozen_arrays():
-    p = g.BallPoint(0.1, [0.2])
+    b = g.BoundaryPoint([0.1, 0.2])
     with pytest.raises(ValueError):
-        p.w[0] = 0.0
+        b.X[0] = 0.0
 
 
 @pytest.mark.parametrize(
