@@ -50,7 +50,6 @@ from .dynamics import (
     estimate_denjoy_wolff,
     estimate_multiplier,
     iterate,
-    iterate_batch,
     step_series,
 )
 from .conjugation import (

@@ -13,6 +13,8 @@ commands.  Every key is optional, but only ``harness`` runs without ``map``::
 
     {
       "map": {"family": "HalfplaneAffine", "lam": 1.0, "b": [0.0, 1.0]},
+                                      # complex parameters are [re, im] pairs, real ones numbers;
+                                      #   Heisenberg "a" pairs, "parts"/"inner" maps, "model" a string
       "start": [1.0, 0.0],            # a number or one [re, im] pair; a ball/Siegel point
       "starts": [[1.0, 0.0], ...],    #   may be N pairs, N the map's where the map fixes it
       "n_max": 100000,                # an integer >= 0; --n-max replaces it
@@ -65,7 +67,7 @@ def write_atomic(path: str, text: str) -> None:
 
 # each rule a config value must meet, by the words its error names it with
 _RULES = {
-    "a number": lambda x: isinstance(x, (int, float)) and not isinstance(x, bool),
+    "a number": maps._is_number,
     "an integer": lambda x: type(x) is int,
     "an integer >= 0": lambda x: type(x) is int and x >= 0,
     "integers >= 1": lambda x: (isinstance(x, (list, tuple)) and len(x) > 0
@@ -100,8 +102,8 @@ def _parse_point(v, model: str, key: str, dim: int | None = None):
     return p
 
 
-_KEYS = ("map", "start", "starts", "n_max", "tolerances", "checkpoints", "basepoint", "kind",
-         "plot", "suite")
+_CONFIG_KEYS = ("map", "start", "starts", "n_max", "tolerances", "checkpoints", "basepoint",
+                "kind", "plot", "suite")
 # each plot value's default, whose type a value takes, and its rule
 _PLOT = {"marker_size": (2.0, "a number"), "tail_highlight": (0, "an integer >= 0"),
          "title": ("", "a string or a number")}
@@ -138,7 +140,7 @@ def _known(d: dict, keys, path: str = "", what: str = "keys") -> dict:
 
 def parse_config(raw: dict, n_max: int | None = None) -> Config:
     """The Config of raw, a loaded JSON config; n_max, when given, replaces its n_max."""
-    _known(raw, _KEYS, what="config keys")
+    _known(raw, _CONFIG_KEYS, what="config keys")
     thresholds = [f.name for f in dataclasses.fields(dynamics.Budgets) if f.name != "n_max"]
     tol = _known(raw.get("tolerances", {}), thresholds, what="tolerances")
     n_max = n_max if n_max is not None else raw.get("n_max", dynamics.Budgets.n_max)
@@ -169,7 +171,7 @@ def parse_config(raw: dict, n_max: int | None = None) -> Config:
     suite = [] if "suite" in raw else None
     for i, case in enumerate(_must(raw.get("suite", []), "suite", "a list")):
         _known(case, ("map", "start"), f"suite[{i}].")
-        row = maps.spec_from_dict(case["map"])
+        row = maps.spec_from_dict(case["map"], f"suite[{i}].map")
         start = _parse_point(case["start"], row.model, f"suite[{i}].start", maps.fixed_dim(row))
         suite.append((row, start))
     return Config(spec, starts, probe_starts, budgets, kind, conjugate, plot, suite)

@@ -76,12 +76,6 @@ class ConjugationResult:
         )
 
 
-def _precheck(spec, precheck_n: int) -> None:
-    if spec.model != "halfplane":
-        raise PreconditionError("conjugations are defined for half-plane maps")
-    _require_parabolic(spec, precheck_n)
-
-
 # an overflowing grid point turns inf, then NaN, silently, as in the block method
 @np.errstate(over="ignore", invalid="ignore")
 def _run_grid(spec, grid, basepoint, checkpoints):
@@ -135,7 +129,9 @@ def _normalized(kind, spec, basepoint, grid, checkpoints, precheck_n) -> Conjuga
     The residual is sup |psi_n(f(g)) - psi_n(g) - increment| over the grid;
     Pommerenke's increment is fitted (the grid mean), Baker-Pommerenke's is 1.
     """
-    _precheck(spec, precheck_n)
+    if spec.model != "halfplane":
+        raise PreconditionError("conjugations are defined for half-plane maps")
+    _require_parabolic(spec, precheck_n)
     if kind == "baker_pommerenke":
         verdict = step_series(iterate(spec, basepoint, precheck_n)).verdict
         if verdict != "zero_step":

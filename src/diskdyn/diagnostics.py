@@ -19,7 +19,8 @@ import numpy as np
 
 from . import maps
 from .dynamics import (
-    _PRECHECK_N, Budgets, Orbit, _fit_starts, _require_parabolic, classify, iterate, step_series,
+    _PRECHECK_N, Budgets, Orbit, _distinct, _fit_starts, _require_parabolic, classify, iterate,
+    step_series,
 )
 from .errors import ModelMismatchError, PreconditionError
 from .geometry import MODELS, BoundaryPoint
@@ -331,8 +332,8 @@ def conjecture_probe(spec, starts=None, budgets: Budgets | None = None) -> Probe
     if starts is None:
         model = MODELS[spec.model]
         starts = _fit_starts(spec, [model.point(s) for s in model.starts + model.probe_starts])
-    if len(starts) < 5:
-        raise PreconditionError("the probe wants at least 5 starts")
+    if _distinct(starts) < 5:
+        raise PreconditionError("the probe wants at least 5 distinct starts")
     _require_parabolic(spec, _PRECHECK_N, budgets)
     verdicts = []
     dinfs = []

@@ -22,7 +22,6 @@ __all__ = [
     "StepSeries",
     "ClassificationReport",
     "iterate",
-    "iterate_batch",
     "step_series",
     "estimate_denjoy_wolff",
     "estimate_multiplier",
@@ -97,6 +96,11 @@ class ClassificationReport:
 def default_starts(model: str):
     m = MODELS[model]
     return [m.point(s) for s in m.starts]
+
+
+def _distinct(starts) -> int:
+    """How many of starts differ in value: equal points (np.array_equal) count once."""
+    return sum(not any(np.array_equal(s, t) for t in starts[:i]) for i, s in enumerate(starts))
 
 
 def _fit_starts(spec, starts):
@@ -187,14 +191,6 @@ def iterate(spec, start, n_max: int, policy: StoppingPolicy | None = None) -> Or
     return Orbit(spec, spec.model, start, buf, "max_iter")
 
 
-def iterate_batch(spec, starts, n_max: int, policy: StoppingPolicy | None = None) -> list:
-    """Forward orbits of several starts, one ``iterate`` Orbit per start, in order.
-
-    The first start whose orbit fails raises, as a loop over ``iterate`` would.
-    """
-    return [iterate(spec, s, n_max, policy) for s in starts]
-
-
 # past an overflow an orbit can hold inf, and inf - inf is NaN: a NaN margin is
 # a numeric failure and a NaN displacement no fixed point, as they should be;
 # the decorator keeps numpy from warning about them
@@ -275,9 +271,9 @@ def estimate_denjoy_wolff(spec, starts, budgets: Budgets | None = None):
     array).  Raises EstimationError when the starts disagree by more than tol_dw.
     """
     budgets = budgets or Budgets()
-    if len(starts) < 2:
+    if _distinct(starts) < 2:
         raise PreconditionError("need at least 2 distinct starts")
-    orbits = iterate_batch(spec, starts, budgets.n_max)
+    orbits = [iterate(spec, s, budgets.n_max) for s in starts]
     return _common_limit(MODELS[spec.model], orbits, budgets.tol_dw)
 
 
@@ -304,15 +300,8 @@ def _common_limit(model: Model, orbits, tol_dw: float):
     return p, "boundary"
 
 
-@dataclass(frozen=True)
-class MultiplierEstimate:
-    value: float
-    raw: float
-    clipped: bool
-
-
-def estimate_multiplier(spec, orbit: Orbit, budgets: Budgets | None = None) -> MultiplierEstimate:
-    """liminf of (1 - ||f(Z_n)||)/(1 - ||Z_n||), as the minimum of the ratios' tail."""
+def estimate_multiplier(orbit: Orbit, budgets: Budgets | None = None) -> float:
+    """liminf of (1 - ||f(Z_n)||)/(1 - ||Z_n||), as the minimum of the ratios' tail, unclipped."""
     budgets = budgets or Budgets()
     if orbit.stop_reason == "interior_fixed_point":
         raise PreconditionError("multiplier is defined for boundary Denjoy-Wolff points")
@@ -325,8 +314,7 @@ def estimate_multiplier(spec, orbit: Orbit, budgets: Budgets | None = None) -> M
         raise PreconditionError("orbit too short for a multiplier estimate")
     ratios = gaps[1:] / gaps[:-1]
     tail = ratios[-max(1, int(round(ratios.size * budgets.tail_fraction))):]
-    raw = float(tail.min())
-    return MultiplierEstimate(min(raw, 1.0), raw, raw > 1.0)
+    return float(tail.min())
 
 
 def _midpoint_fixed_point(spec, start, n_max: int = 20_000, tol: float = 1e-13):
@@ -385,13 +373,11 @@ def classify(spec, starts=None, budgets: Budgets | None = None) -> Classificatio
     model = MODELS[spec.model]
     defaults = _fit_starts(spec, default_starts(spec.model))
     starts = list(starts) if starts is not None else defaults
-    if len(starts) < 2:
-        for extra in defaults:
-            if all(np.any(extra != np.asarray(s)) for s in starts):
-                starts.append(extra)
+    if _distinct(starts) < 2:
+        starts += [d for d in defaults if not any(np.array_equal(d, s) for s in starts)]
     notes = []
     # one orbit per start serves both the Denjoy-Wolff point and the multiplier
-    orbits = iterate_batch(spec, starts, budgets.n_max)
+    orbits = [iterate(spec, s, budgets.n_max) for s in starts]
     try:
         p, location = _common_limit(model, orbits, budgets.tol_dw)
     except EstimationError as exc:
@@ -410,10 +396,10 @@ def classify(spec, starts=None, budgets: Budgets | None = None) -> Classificatio
 
     values = []
     for orb in orbits:
-        est = estimate_multiplier(spec, orb, budgets)
-        if est.clipped:
-            notes.append(f"multiplier estimate {est.raw:.6g} clipped to 1")
-        values.append(est.value)
+        raw = estimate_multiplier(orb, budgets)
+        if raw > 1.0:
+            notes.append(f"multiplier estimate {raw:.6g} clipped to 1")
+        values.append(min(raw, 1.0))
     c = float(np.mean(values))
     if c < 1.0 - budgets.tol_c:
         kind = "hyperbolic"

@@ -137,7 +137,7 @@ class SiegelTranslation:
 class HeisenbergTranslation:
     """(z, w) -> (z + 2<w, a> + ||a||^2 + i b, w + a); always an automorphism."""
 
-    a: tuple = (0j,)
+    a: tuple[complex, ...] = (0j,)
     b: float = 0.0
     model: ClassVar[str] = "siegel"
     _a_arr: np.ndarray = field(init=False, repr=False, compare=False)
@@ -170,14 +170,10 @@ class HeisenbergTranslation:
 class Identity:
     """Identity map of any model; handy for composition tests."""
 
-    model_tag: str = "halfplane"
+    model: str = "halfplane"
 
     def __post_init__(self):
-        MODELS[self.model_tag]  # raises ModelMismatchError for an unknown name
-
-    @property
-    def model(self) -> str:
-        return self.model_tag
+        MODELS[self.model]  # raises ModelMismatchError for an unknown name
 
     def __call__(self, pt):
         return pt
@@ -193,7 +189,7 @@ class Identity:
 class Composition:
     """parts[0] o parts[1] o ... ; the last part is applied first."""
 
-    parts: tuple
+    parts: tuple[object, ...]
 
     def __post_init__(self):
         parts = tuple(self.parts)
@@ -342,15 +338,10 @@ FAMILIES = {
 # evaluation / composition
 
 
-def domain_margin(model: str, pt) -> float:
-    """The model-defining functional: positive iff pt is interior."""
-    return MODELS[model].margin(pt)
-
-
 def evaluate(spec, pt):
     """Apply spec to a point of its model; checks that the image stays inside."""
     out = spec(_coords(spec.model, pt))
-    m = domain_margin(spec.model, out)
+    m = MODELS[spec.model].margin(out)
     if not m > 0.0:
         raise EvaluationError(f"image left the {spec.model} domain", margin=m)
     return out
@@ -423,7 +414,7 @@ def validate_self_map(spec, sample_count: int = 500, seed: int = 0) -> ValidityR
     for pt in pts:
         try:
             img = spec(pt)
-            m = domain_margin(spec.model, img)
+            m = MODELS[spec.model].margin(img)
         except (ZeroDivisionError, FloatingPointError, ValueError):
             m = -np.inf
         if not np.isfinite(m):
@@ -438,10 +429,21 @@ def validate_self_map(spec, sample_count: int = 500, seed: int = 0) -> ValidityR
 # serialization: plain JSON-compatible dictionaries, bit-exact round trips
 
 
-# the dict key of a field, where it is not the field's name
-_KEYS = {"model_tag": "model"}
-# _encode and _decode dispatch on a field's annotation, a string such as
-# "complex" under this module's postponed annotations
+def _is_number(x) -> bool:
+    """x is a JSON number: an int or a float, not a bool."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+# the JSON value of each field kind, and the words its error names it with.  A kind is the
+# field's annotation, a string under postponed annotations; "tuple[k, ...]" is a list of k
+_KINDS = {
+    "complex": ("an [re, im] pair of numbers",
+                lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_number, v))),
+    "float": ("a number", _is_number),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "tuple[complex, ...]": ("a list of [re, im] pairs", lambda v: isinstance(v, list)),
+    "tuple[object, ...]": ("a non-empty list of objects", lambda v: isinstance(v, list) and v),
+}
 
 
 def _encode(kind: str, v):
@@ -449,18 +451,22 @@ def _encode(kind: str, v):
         return [v.real, v.imag]
     if kind == "object":
         return spec_to_dict(v)
-    if kind == "tuple":  # of complex numbers or of specs
-        return [_encode("complex" if isinstance(x, complex) else "object", x) for x in v]
+    if kind.startswith("tuple["):
+        return [_encode(kind[6:-6], x) for x in v]
     return v
 
 
-def _decode(kind: str, v):
+def _decode(kind: str, v, key: str):
+    """The field value of the JSON value v; a value of another kind is a ValueError naming key."""
+    if kind == "object":
+        return spec_from_dict(v, key)
+    rule, ok = _KINDS[kind]
+    if not ok(v):
+        raise ValueError(f"{key} must be {rule}, got {v!r}")
     if kind == "complex":
         return complex(v[0], v[1])
-    if kind == "object":
-        return spec_from_dict(v)
-    if kind == "tuple":
-        return tuple(_decode("object" if isinstance(x, dict) else "complex", x) for x in v)
+    if kind.startswith("tuple["):
+        return tuple(_decode(kind[6:-6], x, f"{key}[{i}]") for i, x in enumerate(v))
     return v
 
 
@@ -471,22 +477,29 @@ def spec_to_dict(spec) -> dict:
     d = {"family": fam}
     for f in fields(spec):
         if f.init:
-            d[_KEYS.get(f.name, f.name)] = _encode(f.type, getattr(spec, f.name))
+            d[f.name] = _encode(f.type, getattr(spec, f.name))
     return d
 
 
-def spec_from_dict(d: dict):
-    """A spec_to_dict dict's spec; a missing optional key takes its default, an unknown key raises."""
+def spec_from_dict(d: dict, key: str = "map"):
+    """A spec_to_dict dict's spec; a missing optional parameter takes its default.
+
+    An unknown family or parameter is a ModelMismatchError.  A missing parameter (KeyError)
+    or a value of the wrong kind (ValueError) names its path from key, e.g. map.parts[1].b.
+    """
+    if not isinstance(d, dict):
+        raise ValueError(f"{key} must be an object, got {d!r}")
     fam = d.get("family")
-    if fam not in FAMILIES:
+    if not isinstance(fam, str) or fam not in FAMILIES:
         raise ModelMismatchError(f"unknown family {fam!r}")
-    params = {_KEYS.get(f.name, f.name): f for f in fields(FAMILIES[fam]) if f.init}
+    params = {f.name: f for f in fields(FAMILIES[fam]) if f.init}
     unknown = sorted(set(d) - set(params) - {"family"})
     if unknown:
         raise ModelMismatchError(f"{fam} has no parameter {unknown}; it has {sorted(params)}")
     kwargs = {}
-    for key, f in params.items():
-        required = f.default is MISSING and f.default_factory is MISSING
-        if key in d or required:  # a missing required key raises KeyError
-            kwargs[f.name] = _decode(f.type, d[key])
+    for name, f in params.items():
+        if name in d:
+            kwargs[name] = _decode(f.type, d[name], f"{key}.{name}")
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise KeyError(f"{key}.{name} is missing")
     return FAMILIES[fam](**kwargs)

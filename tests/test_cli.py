@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -472,6 +473,8 @@ def test_the_parsed_config_fills_in_the_defaults():
 
 _HEISENBERG_N2 = {"family": "HeisenbergTranslation", "a": [[1, 0]]}
 _THREE_PAIRS = [[2.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+_AFFINE = {"family": "HalfplaneAffine", "lam": 1.0, "b": [1.0, 0.0]}
+_N2_START = [[2.0, 0.0], [0.0, 0.0]]
 
 
 @pytest.mark.parametrize("command, extra, message", [
@@ -502,11 +505,48 @@ _THREE_PAIRS = [[2.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
     ("plot", {"plot": {"tail_highlight": -1}},
      "plot.tail_highlight must be an integer >= 0, got -1"),
     ("plot", {"plot": {"title": [1]}}, "plot.title must be a string or a number, got [1]"),
+    # map parameters: these ran on a converted or cut value ("lam": true ran lam = 1, the
+    # 5 of "a" was dropped), stopped with a traceback ("inner": 5, "map": 5), or with a
+    # message that named no key ("list index out of range", "'b'")
+    ("orbit", {"map": {**_AFFINE, "lam": True}}, "map.lam must be a number, got True"),
+    ("orbit", {"map": {**_AFFINE, "lam": "2"}}, "map.lam must be a number, got '2'"),
+    ("orbit", {"map": {**_AFFINE, "lam": "x"}}, "map.lam must be a number, got 'x'"),
+    ("orbit", {"map": {**_HEISENBERG_N2, "b": "1"}, "start": _N2_START},
+     "map.b must be a number, got '1'"),
+    ("orbit", {"map": {**_HEISENBERG_N2, "a": [[1, 0, 5]]}, "start": _N2_START},
+     "map.a[0] must be an [re, im] pair of numbers, got [1, 0, 5]"),
+    ("orbit", {"map": {"family": "Conjugated", "inner": 5}}, "map.inner must be an object, got 5"),
+    ("orbit", {"map": 5}, "map must be an object, got 5"),
+    ("orbit", {"map": {**_AFFINE, "b": [1.0]}},
+     "map.b must be an [re, im] pair of numbers, got [1.0]"),
+    ("orbit", {"map": {**_AFFINE, "b": True}}, "map.b must be an [re, im] pair of numbers, got True"),
+    ("orbit", {"map": {**_AFFINE, "b": 1.0}}, "map.b must be an [re, im] pair of numbers, got 1.0"),
+    ("orbit", {"map": {"family": "Composition", "parts": 5}},
+     "map.parts must be a non-empty list of objects, got 5"),
+    ("orbit", {"map": {"family": "Composition", "parts": []}},
+     "map.parts must be a non-empty list of objects, got []"),
+    ("orbit", {"map": {"family": "DiskMoebius", "a": [0.0, 0.0], "theta": [1.0]}},
+     "map.theta must be a number, got [1.0]"),
+    ("orbit", {"map": {"family": "SiegelTranslation"}}, "'map.b is missing'"),
+    ("orbit", {"map": {"family": "Composition", "parts": [_AFFINE, {**_AFFINE, "b": "x"}]}},
+     "map.parts[1].b must be an [re, im] pair of numbers, got 'x'"),
+    ("orbit", {"map": {"family": "Conjugated", "inner": {"family": "Composition", "parts": [
+        _SIEGEL, {"family": "Conjugated", "inner": {"family": "DiskMoebius", "a": "0"}}]}}},
+     "map.inner.parts[1].inner.a must be an [re, im] pair of numbers, got '0'"),
+    ("harness", {"suite": [{"map": {"family": "Conjugated", "inner": 5}, "start": [0.5, 0.0]}]},
+     "suite[0].map.inner must be an object, got 5"),
+    ("harness", {"suite": [{"map": _AFFINE, "start": [1.0, 0.0]},
+                           {"map": {"family": "SiegelTranslation"}, "start": [1.0, 0.0]}]},
+     "'suite[1].map.b is missing'"),
 ], ids=["start-short", "start-empty", "start-bare-number-pair", "start-bool", "start-N",
         "suite-start-N", "start-planar-pairs", "basepoint-pairs", "starts-int", "starts-empty",
         "checkpoints-int", "suite-int", "n_max-string", "n_max-fraction", "n_max-bool",
         "tolerances-string", "marker_size-string", "tail_highlight-fraction",
-        "tail_highlight-negative", "title-list"])
+        "tail_highlight-negative", "title-list",
+        "lam-true", "lam-string-number", "lam-string", "heisenberg-b-string", "heisenberg-a-triple",
+        "inner-int", "map-int", "b-short", "b-true", "b-number", "parts-int", "parts-empty",
+        "theta-list", "b-missing", "parts-nested", "deeply-nested", "suite-inner",
+        "suite-missing"])
 def test_a_value_of_the_wrong_type_shape_or_n_is_a_config_error(tmp_path, capsys, command,
                                                                  extra, message):
     # these ran on a truncated or converted value, or stopped with a message
@@ -543,6 +583,44 @@ def test_a_plot_title_is_escaped(tmp_path):
     assert run(tmp_path, "plot", dict(PARABOLIC, n_max=10, plot={"title": title})) == cli.EXIT_OK
     root = ElementTree.parse(tmp_path / "plot.svg").getroot()
     assert [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")] == [title]
+
+
+# a JSON value of each field kind; "tuple[k, ...]" is a list of kind k
+_KIND_VALUES = {"complex": [0.5, 0.0], "float": 1.0, "str": "siegel", "object": _SIEGEL,
+                "tuple[complex, ...]": [[0.5, 0.0]], "tuple[object, ...]": [_SIEGEL]}
+_PARAMETERS = [(family, f.name) for family, cls in maps.FAMILIES.items()
+               for f in dataclasses.fields(cls) if f.init]
+
+
+@pytest.mark.parametrize("family, name", _PARAMETERS, ids=[".".join(p) for p in _PARAMETERS])
+def test_every_map_parameter_takes_only_its_own_kind(tmp_path, capsys, family, name):
+    # a family added later is covered too; a kind missing above fails here
+    kinds = {f.name: f.type for f in dataclasses.fields(maps.FAMILIES[family]) if f.init}
+    valid = {"family": family, **{k: _KIND_VALUES[kind] for k, kind in kinds.items()}}
+    maps.spec_from_dict(valid)
+    others = [v for kind, v in _KIND_VALUES.items() if kind != kinds[name]] + [True, None]
+    for wrong in others:
+        cfg = {**PARABOLIC, "n_max": 10, "map": {**valid, name: wrong}}
+        assert run(tmp_path, "orbit", cfg) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"config error: map\.{name}(\[0\])? must be .*, got .*\n", err), err
+        assert os.listdir(tmp_path) == ["config.json"]
+
+
+def test_classify_command_tops_up_duplicate_starts(tmp_path, capsys):
+    # two equal starts of a rotation read as parabolic, a boundary point
+    cfg = {"map": {"family": "DiskMoebius", "a": [0.0, 0.0], "theta": 1.0},
+           "starts": [[0.3, 0.0], [0.3, 0.0]], "n_max": 2000}
+    assert run(tmp_path, "classify", cfg) == cli.EXIT_OK
+    assert capsys.readouterr().out.splitlines()[0] == "elliptic"
+
+
+def test_probe_command_needs_five_distinct_starts(tmp_path, capsys):
+    # five equal starts reported CONSISTENT
+    cfg = dict(PARABOLIC, starts=[[1.0, 0.0]] * 5, n_max=2000)
+    assert run(tmp_path, "probe", cfg) == cli.EXIT_INCONCLUSIVE
+    assert "inconclusive: the probe wants at least 5 distinct starts" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["config.json"]
 
 
 # ---------------------------------------------------------------------------

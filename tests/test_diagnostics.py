@@ -252,6 +252,13 @@ def test_probe_needs_five_starts():
         diagnostics.conjecture_probe(maps.HalfplaneAffine(1.0, 1.0), starts=[1.0, 2.0])
 
 
+@pytest.mark.parametrize("starts", [[1.0] * 5, [1.0, 2.0, 3.0, 4.0, 1.0 + 0j, 2.0]])
+def test_probe_needs_five_distinct_starts(starts):
+    # five equal starts reported CONSISTENT
+    with pytest.raises(PreconditionError, match="at least 5 distinct starts"):
+        diagnostics.conjecture_probe(maps.HalfplaneAffine(1.0, 1.0), starts=starts)
+
+
 class SiegelShift:
     """(z, w) -> (z + 1, w), a Siegel map of no built-in family: spec_to_dict cannot serialize it."""
 

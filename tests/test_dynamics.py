@@ -118,6 +118,32 @@ def test_estimate_denjoy_wolff_agrees_with_classify():
     assert abs(p[0] - 1.0) < 1e-4 and np.linalg.norm(p[1:]) < 1e-4  # ball coordinates of infinity
 
 
+# equal starts are one orbit and cannot show a common limit: the rotation's
+# orbit of 0.3 stays on one circle, and [0.3, 0.3] read as parabolic
+# (c = 0.9999999999999997, a boundary point) where [0.3, 0.5] is elliptic
+@pytest.mark.parametrize("starts", [[0.3, 0.3], [0.3, 0.3 + 0j], [0.3, 0.3, 0.3]])
+def test_classify_tops_up_fewer_than_two_distinct_starts(starts):
+    rot = maps.DiskMoebius(0.0, 1.0)
+    rep = dynamics.classify(rot, starts=starts)
+    assert (rep.type, rep.dw_location) == ("elliptic", "interior")
+    assert rep == dynamics.classify(rot, starts=starts + dynamics.default_starts("disk"))
+
+
+@pytest.mark.parametrize("starts", [[0.3, 0.3], [0.3, 0.3 + 0j], [0.3]])
+def test_estimate_denjoy_wolff_needs_two_distinct_starts(starts):
+    # [0.3, 0.3] returned a "boundary" limit of norm 0.3
+    with pytest.raises(PreconditionError, match="^need at least 2 distinct starts$"):
+        dynamics.estimate_denjoy_wolff(maps.DiskMoebius(0.0, 1.0), starts)
+
+
+def test_classify_keeps_repeated_starts_when_two_are_distinct(monkeypatch):
+    calls = []
+    _count_calls(monkeypatch, dynamics, "iterate", calls)
+    rep = dynamics.classify(maps.DiskMoebius(0.0, 1.0), starts=[0.3, 0.3, 0.5])
+    assert rep.type == "elliptic"
+    assert [args[1] for args, _ in calls] == [0.3, 0.3, 0.5]
+
+
 THRESHOLDS = {"tail_fraction", "tol_step", "tol_dw", "tol_c", "tol_ratio", "m_cap", "tol_radial"}
 
 
@@ -141,15 +167,15 @@ def test_thresholds_are_set_only_in_budgets():
 
 def test_multiplier_hyperbolic():
     orb = dynamics.iterate(maps.HalfplaneAffine(2.0), 1.0, 100_000)
-    est = dynamics.estimate_multiplier(maps.HalfplaneAffine(2.0), orb)
-    assert est.value == pytest.approx(0.5, abs=1e-6)
+    est = dynamics.estimate_multiplier(orb)
+    assert min(est, 1.0) == pytest.approx(0.5, abs=1e-6)
 
 
 def test_multiplier_parabolic():
     spec = maps.HalfplaneAffine(1.0, 1.0)
     orb = dynamics.iterate(spec, 1.0, 50_000)
-    est = dynamics.estimate_multiplier(spec, orb)
-    assert est.value == pytest.approx(1.0, abs=1e-4)
+    est = dynamics.estimate_multiplier(orb)
+    assert min(est, 1.0) == pytest.approx(1.0, abs=1e-4)
 
 
 def test_classify_hyperbolic():
@@ -227,7 +253,7 @@ def test_default_starts_fit_the_map_dimension():
         assert [s.shape for s in fitted] == [(dim,)] * 3
         for s, base in zip(fitted, siegel):
             assert np.array_equal(s, np.pad(base, (0, 1))[:dim])
-            assert maps.domain_margin("siegel", s) > 0.0
+            assert maps.MODELS["siegel"].margin(s) > 0.0
     # maps that fix no dimension keep the defaults themselves
     assert dynamics._fit_starts(maps.SiegelTranslation(1.0), siegel) is siegel
 
@@ -235,7 +261,7 @@ def test_default_starts_fit_the_map_dimension():
 def test_default_starts_inside_domain():
     for model in maps.MODELS:
         for s in dynamics.default_starts(model):
-            assert maps.domain_margin(model, s) > 0.0
+            assert maps.MODELS[model].margin(s) > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +274,7 @@ def reference_orbit(spec, start, n_max, policy=None):
     model = spec.model
     cur = np.array(start, np.complex128).reshape(-1)
     buf = np.empty((n_max + 1, cur.size), np.complex128)
-    if maps.domain_margin(model, cur) <= 0.0:
+    if maps.MODELS[model].margin(cur) <= 0.0:
         raise DomainError(f"start lies outside the {model} domain")
     buf[0] = cur
     stop = "max_iter"
@@ -470,7 +496,7 @@ def test_engine_matches_per_step_loop(name):
     assert [r[1] for r in refs] == stops
     for s, ref in zip(starts, refs):
         check(dynamics.iterate(spec, s, n_max, policy), ref)
-    batch = dynamics.iterate_batch(spec, starts, n_max, policy)
+    batch = [dynamics.iterate(spec, s, n_max, policy) for s in starts]
     assert len(batch) == len(starts)
     for orbit, s, ref in zip(batch, starts, refs):
         assert orbit.start is s
@@ -492,8 +518,8 @@ def test_engine_evaluation_error_matches_per_step_loop():
     for s, ref in zip(starts, refs):
         assert _evaluation_error(lambda s=s: dynamics.iterate(spec, s, 2000)) == ref
     # like a loop over the starts, the batch raises the first start's error
-    assert _evaluation_error(lambda: dynamics.iterate_batch(spec, starts, 2000)) == refs[0]
-    assert _evaluation_error(lambda: dynamics.iterate_batch(spec, starts[1:], 2000)) == refs[1]
+    assert _evaluation_error(lambda: [dynamics.iterate(spec, s, 2000) for s in starts]) == refs[0]
+    assert _evaluation_error(lambda: [dynamics.iterate(spec, s, 2000) for s in starts[1:]]) == refs[1]
 
 
 @pytest.mark.parametrize("spec", [
@@ -513,7 +539,7 @@ def test_block_map_evaluation_error_matches_per_step_loop(spec):
         exact, size = closed_form.margin(spec, s, index)
         assert exact <= 0.0 < closed_form.margin(spec, s, index - 1)[0]
         assert abs(margin - exact) <= closed_form.RTOL * size
-    assert _evaluation_error(lambda: dynamics.iterate_batch(spec, starts, 3000)) == errors[0]
+    assert _evaluation_error(lambda: [dynamics.iterate(spec, s, 3000) for s in starts]) == errors[0]
 
 
 @pytest.mark.parametrize("spec, start", [
@@ -533,9 +559,9 @@ def test_engine_error_order_follows_the_starts():
     spec = RaiseBeyond(-1.0, 1000.0)
     starts = _siegel([300.5, 0.25j], [2000.0, 0.0])
     ref = _evaluation_error(lambda: reference_orbit(spec, starts[0], 2000))
-    assert _evaluation_error(lambda: dynamics.iterate_batch(spec, starts, 2000)) == ref
+    assert _evaluation_error(lambda: [dynamics.iterate(spec, s, 2000) for s in starts]) == ref
     with pytest.raises(ValueError):
-        dynamics.iterate_batch(spec, starts[::-1], 2000)
+        [dynamics.iterate(spec, s, 2000) for s in starts[::-1]]
 
 
 def test_engine_raises_map_errors_before_the_stop():
@@ -546,15 +572,15 @@ def test_engine_raises_map_errors_before_the_stop():
     with pytest.raises(ValueError):
         dynamics.iterate(spec, starts[0], 1000)
     with pytest.raises(ValueError):
-        dynamics.iterate_batch(spec, starts, 1000)
+        [dynamics.iterate(spec, s, 1000) for s in starts]
     # a bad third start raises, unless an earlier start's orbit raises first
-    good = dynamics.iterate_batch(spec, starts, 300)
+    good = [dynamics.iterate(spec, s, 300) for s in starts]
     for orbit, s in zip(good, starts):
         _assert_same(orbit, reference_orbit(spec, s, 300))
     with pytest.raises(DomainError):
-        dynamics.iterate_batch(spec, starts + _siegel([-1.0, 0.0]), 300)
+        [dynamics.iterate(spec, s, 300) for s in starts + _siegel([-1.0, 0.0])]
     with pytest.raises(ValueError):
-        dynamics.iterate_batch(spec, starts + _siegel([-1.0, 0.0]), 1000)
+        [dynamics.iterate(spec, s, 1000) for s in starts + _siegel([-1.0, 0.0])]
 
 
 class MapFault(Exception):
@@ -596,7 +622,7 @@ def test_map_error_on_any_step_of_a_block_comes_through(model, start, k):
 
 def test_iterate_batch_planar_runs_each_start():
     spec = maps.HalfplaneAffine(1.0, 1.0)
-    orbits = dynamics.iterate_batch(spec, [1.0, 2.0 + 1j], 100)
+    orbits = [dynamics.iterate(spec, s, 100) for s in [1.0, 2.0 + 1j]]
     for orbit, s in zip(orbits, [1.0, 2.0 + 1j]):
         ref = dynamics.iterate(spec, s, 100)
         assert orbit.stop_reason == ref.stop_reason
@@ -650,7 +676,7 @@ def reference_planar_orbit(spec, start, n_max, policy=None):
     model = spec.model
     cur = complex(start)
     buf = np.empty(n_max + 1, np.complex128)
-    if maps.domain_margin(model, cur) <= 0.0:
+    if maps.MODELS[model].margin(cur) <= 0.0:
         raise DomainError(f"start lies outside the {model} domain")
     buf[0] = cur
     stop = "max_iter"
@@ -791,7 +817,7 @@ def test_planar_fixed_point_off_the_ball_stride():
     ],
 )
 def test_planar_evaluation_error_matches_scalar_loop(spec, start):
-    if maps.domain_margin(spec.model, start) <= 0.0:
+    if maps.MODELS[spec.model].margin(start) <= 0.0:
         with pytest.raises(DomainError):
             dynamics.iterate(spec, start, 1000)
         return
@@ -1021,7 +1047,7 @@ def test_non_finite_point_dataclasses_are_rejected():
 def test_unknown_model_name_is_a_model_mismatch():
     rng = np.random.default_rng(0)
     for lookup in (lambda: dynamics.default_starts("torus"),
-                   lambda: maps.domain_margin("torus", 0.5),
+                   lambda: maps.MODELS["torus"].margin(0.5),
                    lambda: maps.sample_domain("torus", 3, rng),
                    lambda: maps.Identity("torus")):
         with pytest.raises(ModelMismatchError, match="unknown model 'torus'"):

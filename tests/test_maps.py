@@ -35,8 +35,8 @@ def test_siegel_translation_margin_invariance():
     f = maps.SiegelTranslation(1.0 + 2.0j)
     p = np.array([1.0 + 0.5j, 0.3], np.complex128)
     q = f(p)
-    assert maps.domain_margin("siegel", q) == pytest.approx(
-        maps.domain_margin("siegel", p) + 1.0
+    assert maps.MODELS["siegel"].margin(q) == pytest.approx(
+        maps.MODELS["siegel"].margin(p) + 1.0
     )
     assert maps.SiegelTranslation(1j).is_automorphism()
     assert not maps.SiegelTranslation(1.0).is_automorphism()
@@ -50,8 +50,8 @@ def test_heisenberg_preserves_margin_exactly():
         w = rng.normal(size=2).view(np.complex128)
         z = np.abs(w[0]) ** 2 + np.exp(rng.normal()) + 1j * rng.normal()
         p = np.concatenate(([z], w))
-        assert maps.domain_margin("siegel", f(p)) == pytest.approx(
-            maps.domain_margin("siegel", p), rel=1e-12
+        assert maps.MODELS["siegel"].margin(f(p)) == pytest.approx(
+            maps.MODELS["siegel"].margin(p), rel=1e-12
         )
     assert f.is_automorphism()
 
@@ -310,6 +310,18 @@ def test_spec_from_dict_defaults_and_errors():
             maps.spec_from_dict(d)
 
 
+def test_spec_from_dict_names_the_path_of_a_bad_parameter():
+    # the error named no key: "'b'", "'int' object has no attribute 'get'"
+    siegel = {"family": "SiegelTranslation"}
+    with pytest.raises(KeyError, match=r"^'map\.parts\[1\]\.b is missing'$"):
+        maps.spec_from_dict({"family": "Composition", "parts": [{**siegel, "b": [1, 0]}, siegel]})
+    inner = {"family": "Conjugated", "inner": {"family": "HalfplaneAffine", "lam": "2"}}
+    with pytest.raises(ValueError, match=r"^suite\[2\]\.map\.inner\.lam must be a number, got '2'$"):
+        maps.spec_from_dict(inner, "suite[2].map")
+    with pytest.raises(ValueError, match=r"^map\.inner must be an object, got 5$"):
+        maps.spec_from_dict({"family": "Conjugated", "inner": 5})
+
+
 # lam != 1 and a non-finite b: test_affine_block_only_for_finite_translations
 @pytest.mark.parametrize("spec, start", [
     (maps.HalfplanePerturbed(1j, 1.0), 1.0 + 0j),
@@ -329,7 +341,7 @@ def test_sample_domain_stays_interior():
     rng = np.random.default_rng(3)
     for model in maps.MODELS:
         for pt in maps.sample_domain(model, 200, rng):
-            assert maps.domain_margin(model, pt) > 0.0
+            assert maps.MODELS[model].margin(pt) > 0.0
 
 
 def test_dimension_comes_from_the_map():
@@ -349,4 +361,4 @@ def test_validate_self_map_keeps_the_two_dimensional_samples():
     for spec in (maps.HeisenbergTranslation((0.5,)), maps.SiegelTranslation(1.0)):
         rep = maps.validate_self_map(spec, sample_count=50, seed=4)
         pts = maps.sample_domain(spec.model, 50, np.random.default_rng(4))
-        assert rep.worst_margin == min(maps.domain_margin(spec.model, spec(p)) for p in pts)
+        assert rep.worst_margin == min(maps.MODELS[spec.model].margin(spec(p)) for p in pts)

@@ -218,7 +218,7 @@ def test_multiplier_matches_the_oracle(name):
     gaps = [series[-1] for _, series in _siegel_oracle(_rows(orbit.points)).values()]
     ratios = [b / a for a, b in zip(gaps, gaps[1:])]
     want = min(ratios[-max(1, int(round(len(ratios) * Budgets().tail_fraction))):])
-    got = dynamics.estimate_multiplier(spec, orbit).raw
+    got = dynamics.estimate_multiplier(orbit)
     assert abs(got - want) <= RTOL * abs(want), (name, got, want)
 
 
