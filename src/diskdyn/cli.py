@@ -171,6 +171,8 @@ def parse_config(raw: dict, n_max: int | None = None) -> Config:
     suite = [] if "suite" in raw else None
     for i, case in enumerate(_must(raw.get("suite", []), "suite", "a list")):
         _known(case, ("map", "start"), f"suite[{i}].")
+        if "map" not in case or "start" not in case:
+            raise KeyError(f"suite[{i}].{'start' if 'map' in case else 'map'} is missing")
         row = maps.spec_from_dict(case["map"], f"suite[{i}].map")
         start = _parse_point(case["start"], row.model, f"suite[{i}].start", maps.fixed_dim(row))
         suite.append((row, start))

@@ -13,7 +13,7 @@ from .errors import (
     EvaluationError,
     PreconditionError,
 )
-from .geometry import MODELS, BoundaryPoint, Model, _margin
+from .geometry import MODELS, BoundaryPoint, Model, _margin, _norm2, _rows
 
 __all__ = [
     "Budgets",
@@ -103,10 +103,10 @@ def _distinct(starts) -> int:
     return sum(not any(np.array_equal(s, t) for t in starts[:i]) for i, s in enumerate(starts))
 
 
-def _fit_starts(spec, starts):
-    """N = 2 ball/Siegel starts, cut or padded with zeros to the N that spec fixes."""
-    n = maps.fixed_dim(spec)
-    if n is None:
+def _fit_starts(spec, starts, like=None):
+    """N = 2 ball/Siegel starts, cut or padded with zeros to the N spec fixes, else like's N."""
+    n = maps.fixed_dim(spec) or (None if like is None else np.size(like))
+    if n is None or MODELS[spec.model].planar:
         return starts
     return [np.pad(s[:n], (0, n - s[:n].size)) for s in starts]
 
@@ -146,10 +146,10 @@ def iterate(spec, start, n_max: int, policy: StoppingPolicy | None = None) -> Or
     Blocks grow from 256 steps, doubling up to 16,384 (``_blocks``), so an
     orbit that stops after k steps computes at most max(256, 2k) + 256.
 
-    A translation-group map (``maps._block_fill``) writes each block in closed
-    form from the start and the step index; every other map is called once
-    per step, and a block's points are stored together, so a map must not
-    change the point it is given.  A start with a non-finite coordinate raises DomainError.
+    A translation-group map (``maps._block_fill``) writes each block in closed form, and
+    where ``maps._stop_free`` proves that no step stops the orbit, no block is screened.
+    Other maps are called once per step, their block's points stored together, so a map
+    must not change its point; a non-finite start raises DomainError.
     """
     policy = policy or StoppingPolicy()
     model = MODELS[spec.model]
@@ -158,6 +158,7 @@ def iterate(spec, start, n_max: int, policy: StoppingPolicy | None = None) -> Or
     if not model.contains(cur):
         raise DomainError(f"start lies outside the {spec.model} domain")
     fill = maps._block_fill(spec, cur)
+    proven = fill is not None and maps._stop_free(n_max, policy, **fill.keywords)
     buf = np.empty((n_max + 1,) + np.shape(cur), np.complex128)
     rows = buf.reshape(n_max + 1, -1)  # planar points are the N = 1 case
     buf[0] = cur
@@ -183,7 +184,7 @@ def iterate(spec, start, n_max: int, policy: StoppingPolicy | None = None) -> Or
                     except Exception as err:  # raised only if no earlier step stops
                         exc, end = err, j - 1
                         break
-        stop = _first_stop(model, policy, rows[t : end + 1], t)
+        stop = None if proven else _first_stop(model, policy, rows[t : end + 1], t)
         if stop is not None:
             return Orbit(spec, spec.model, start, buf[: stop[0]], stop[1])
         if exc is not None:
@@ -238,12 +239,14 @@ def step_series(orbit: Orbit, budgets: Budgets | None = None) -> StepSeries:
     zero_step:    tail mean < tol_step and the series lost at least half its
                   mean between the first and second halves;
     nonzero_step: tail mean > 10 tol_step and the two halves agree to 1%.
-    Anything else is inconclusive.
+    Anything else is inconclusive.  An orbit of a translation-group map T(a, beta) takes
+    s_n in closed form from (a, beta) (``_group_steps``).
     """
     budgets = budgets or Budgets()
     if orbit.length < 2:
         raise PreconditionError("orbit too short for a step series")
-    s = MODELS[orbit.model].step_series(orbit.points)
+    g = maps._group_element(orbit.spec)
+    s = MODELS[orbit.model].step_series(orbit.points) if g is None else _group_steps(*g, orbit.points)
     n = s.size
     tail = s[-max(1, int(round(n * budgets.tail_fraction))):]
     d_inf = float(tail.mean())
@@ -258,6 +261,21 @@ def step_series(orbit: Orbit, budgets: Budgets | None = None) -> StepSeries:
         verdict = "inconclusive"
     evidence = {"tail_window": int(tail.size), "decrease_rate": float(decrease)}
     return StepSeries(s, d_inf, verdict, evidence)
+
+
+def _group_steps(a, beta, points) -> np.ndarray:
+    """s_n = hypot(|u|, 2 sqrt(A_n) ||a||) / |2 A_n + u| along an orbit of T(a, beta), with the
+    constant u = ||a||^2 + beta + 4i Im<w_0, a> and A_n = A_0 + n Re beta; where a = 0, u is beta
+    and A_n is read from the stored z, Re z_n - ||w_0||^2, as the stored-point formula reads it.
+    """
+    P = _rows(points)
+    w0 = P[:1, 1:]
+    if a is None:  # |beta| by the array abs, as the stored-point formula takes |dz|
+        return np.abs([beta]) / np.abs(2.0 * _margin(P[:-1, 0].real, w0) + beta)
+    margin = np.arange(len(P) - 1.0) * beta.real + _margin(P[0, 0].real, w0)
+    a2 = _norm2(a[None])[0]
+    u = complex(a2 + beta.real, beta.imag + 4.0 * maps._inner(w0[0], a)[1])
+    return np.hypot(abs(u), 2.0 * np.sqrt(margin) * np.sqrt(a2)) / np.abs(2.0 * margin + u)
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +389,8 @@ def classify(spec, starts=None, budgets: Budgets | None = None) -> Classificatio
     """Elliptic / hyperbolic / parabolic verdict from orbit behavior."""
     budgets = budgets or Budgets()
     model = MODELS[spec.model]
-    defaults = _fit_starts(spec, default_starts(spec.model))
-    starts = list(starts) if starts is not None else defaults
+    starts = list(starts) if starts is not None else []
+    defaults = _fit_starts(spec, default_starts(spec.model), starts[0] if starts else None)
     if _distinct(starts) < 2:
         starts += [d for d in defaults if not any(np.array_equal(d, s) for s in starts)]
     notes = []

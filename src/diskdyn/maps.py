@@ -292,12 +292,27 @@ def _block_fill(spec, start):
     if a is not None:  # z0 + n beta: the margin A_0 + n Re beta and Im z_0 + n Im(2<w_0, a> + beta)
         z0 = complex(_margin(z0.real, w0[None])[0], z0.imag)
         beta = complex(beta.real, 2.0 * _inner(w0, a)[1] + beta.imag)
-    return partial(_fill_block, spec, z0, beta, w0, a)
+    return partial(_fill_block, spec, z0=z0, beta=beta, w0=w0, a=a)
+
+
+def _stop_free(n_max: int, policy, *, z0, beta, w0, a) -> bool:
+    """Whether no step can stop the n_max-step orbit that _block_fill's closed form writes:
+    Re beta >= 0 keeps the margin at A_0 > 0 or above (where a != 0, clear of the rounding of
+    Re z_n = A_n + ||w_n||^2), |z_n| and ||w_n|| stay below max_magnitude, and each step moves z
+    by beta (a = 0) or w by a, clear of fixed_point_tol; slack bounds the rounding, far above it.
+    """
+    # z_n = z0 + n beta (Re z_n - ||w_n||^2 where a != 0), w_n = w0 + n a
+    w_reach = 0.0 if a is None else np.linalg.norm(w0) + n_max * np.linalg.norm(a)  # >= ||w_n||
+    slack = 1e-12
+    bound = (abs(z0) + n_max * abs(beta) + w_reach**2 + w_reach) * (1.0 + slack)
+    move = (abs(beta) if a is None else np.abs(a).max()) - slack * bound
+    ok = n_max > 0 and beta.real >= 0.0 and (a is None or z0.real > slack * w_reach**2)
+    return bool(ok and bound < policy.max_magnitude and move > policy.fixed_point_tol)
 
 
 # an overflow gives inf, and the calls past it NaN, silently as the one-point calls do
 @np.errstate(over="ignore", invalid="ignore")
-def _fill_block(spec, z0, beta, w0, a, t, out):
+def _fill_block(spec, t, out, *, z0, beta, w0, a):
     """Write points t + 1 .. t + m of the orbit into out (m, ...): z = z0 + n beta, w = w0 + n a.
 
     With a given, z0 + n beta is the margin and Im z, and Re z gets ||w||^2 added.
@@ -484,8 +499,9 @@ def spec_to_dict(spec) -> dict:
 def spec_from_dict(d: dict, key: str = "map"):
     """A spec_to_dict dict's spec; a missing optional parameter takes its default.
 
-    An unknown family or parameter is a ModelMismatchError.  A missing parameter (KeyError)
-    or a value of the wrong kind (ValueError) names its path from key, e.g. map.parts[1].b.
+    An unknown family or parameter, or a family's refusal of its parameters (which names key),
+    is a ModelMismatchError.  A missing parameter (KeyError) or a value of the wrong kind
+    (ValueError) names its path from key, e.g. map.parts[1].b.
     """
     if not isinstance(d, dict):
         raise ValueError(f"{key} must be an object, got {d!r}")
@@ -502,4 +518,7 @@ def spec_from_dict(d: dict, key: str = "map"):
             kwargs[name] = _decode(f.type, d[name], f"{key}.{name}")
         elif f.default is MISSING and f.default_factory is MISSING:
             raise KeyError(f"{key}.{name} is missing")
-    return FAMILIES[fam](**kwargs)
+    try:
+        return FAMILIES[fam](**kwargs)
+    except ModelMismatchError as exc:  # the family's own check: an unknown model, mixed parts
+        raise ModelMismatchError(f"{key}: {exc}") from None

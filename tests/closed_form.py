@@ -14,7 +14,9 @@ so the orbit of (z_0, w_0) is
 
 ``assert_orbit`` compares computed points with it, coordinate by coordinate,
 against the size of the terms each coordinate sums: the rounding of a double
-evaluation of these formulas is a few units of that size.
+evaluation of these formulas is a few units of that size.  ``step`` gives the
+pseudo-hyperbolic step d(p_n, p_{n+1}) of the exact orbit by the metric's
+definition, 1 - d^2 = 4 A_n A_{n+1} / |z_n + conj(z_{n+1}) - 2<w_n, w_{n+1}>|^2.
 """
 
 import mpmath
@@ -58,26 +60,44 @@ def element(spec, dim):
         raise TypeError(f"{spec!r} is not a translation-group map")
 
 
+def _points(spec, start):
+    """The 50-digit orbit of start: n -> (z_n, w_n, size of z_n's terms), and start's N."""
+    start = np.atleast_1d(np.asarray(start, np.complex128))
+    a, beta = element(spec, start.size)
+    z0, w0 = _mpc(start[0]), [_mpc(v) for v in start[1:]]
+    c1 = 2 * _ip(w0, a) + beta
+    c2 = mpmath.re(_ip(a, a))
+
+    def point(n):
+        n = mpmath.mpf(int(n))
+        return (z0 + n * c1 + n * n * c2, [x + n * d for x, d in zip(w0, a)],
+                abs(z0) + n * abs(c1) + n * n * c2)
+
+    return point, w0, a, start.size
+
+
 def orbit(spec, start, steps):
     """(exact, size): points ``steps`` (indices) of the orbit of start, rounded to doubles,
     and the size of the terms each coordinate sums, both (len(steps), N)."""
-    start = np.atleast_1d(np.asarray(start, np.complex128))
-    dim = start.size
     with mpmath.workdps(DPS):
-        a, beta = element(spec, dim)
-        z0, w0 = _mpc(start[0]), [_mpc(v) for v in start[1:]]
-        c1 = 2 * _ip(w0, a) + beta
-        c2 = mpmath.re(_ip(a, a))
+        point, w0, a, dim = _points(spec, start)
         exact = np.empty((len(steps), dim), np.complex128)
         size = np.empty((len(steps), dim))
         for i, n in enumerate(steps):
-            n = mpmath.mpf(int(n))
-            exact[i, 0] = complex(z0 + n * c1 + n * n * c2)
-            size[i, 0] = float(abs(z0) + n * abs(c1) + n * n * c2)
-            for j, (x, d) in enumerate(zip(w0, a), 1):
-                exact[i, j] = complex(x + n * d)
-                size[i, j] = float(abs(x) + n * abs(d))
+            z, w, z_size = point(n)
+            exact[i] = [complex(z)] + [complex(x) for x in w]
+            size[i] = [float(z_size)] + [float(abs(x) + int(n) * abs(d)) for x, d in zip(w0, a)]
     return exact, size
+
+
+def step(spec, start, n):
+    """The step d(p_n, p_{n+1}) of the exact orbit of start, as a double."""
+    with mpmath.workdps(DPS):
+        point = _points(spec, start)[0]
+        (z, w, _), (z1, w1, _) = point(n), point(n + 1)
+        cross = z + mpmath.conj(z1) - 2 * _ip(w, w1)
+        margins = [mpmath.re(p) - mpmath.re(_ip(q, q)) for p, q in ((z, w), (z1, w1))]
+        return float(mpmath.sqrt(1 - 4 * margins[0] * margins[1] / abs(cross) ** 2))
 
 
 def assert_orbit(spec, start, points, steps=None, rtol=RTOL):

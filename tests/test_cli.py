@@ -538,6 +538,17 @@ _N2_START = [[2.0, 0.0], [0.0, 0.0]]
     ("harness", {"suite": [{"map": _AFFINE, "start": [1.0, 0.0]},
                            {"map": {"family": "SiegelTranslation"}, "start": [1.0, 0.0]}]},
      "'suite[1].map.b is missing'"),
+    # a suite row without a map or a start said "'map'"; a family's own refusal of its
+    # parameters named no path
+    ("harness", {"suite": [{"start": [1.0, 0.0]}]}, "'suite[0].map is missing'"),
+    ("harness", {"suite": [{"map": _AFFINE, "start": [1.0, 0.0]}, {"map": _AFFINE}]},
+     "'suite[1].start is missing'"),
+    ("orbit", {"map": {"family": "Identity", "model": "torus"}}, "map: unknown model 'torus'"),
+    ("orbit", {"map": {"family": "Composition", "parts": [_AFFINE, _SIEGEL]}},
+     "map: mixed models in composition: ['halfplane', 'siegel']"),
+    ("harness", {"suite": [{"map": {"family": "Conjugated", "inner": {
+        "family": "Identity", "model": "torus"}}, "start": [1.0, 0.0]}]},
+     "suite[0].map.inner: unknown model 'torus'"),
 ], ids=["start-short", "start-empty", "start-bare-number-pair", "start-bool", "start-N",
         "suite-start-N", "start-planar-pairs", "basepoint-pairs", "starts-int", "starts-empty",
         "checkpoints-int", "suite-int", "n_max-string", "n_max-fraction", "n_max-bool",
@@ -546,7 +557,8 @@ _N2_START = [[2.0, 0.0], [0.0, 0.0]]
         "lam-true", "lam-string-number", "lam-string", "heisenberg-b-string", "heisenberg-a-triple",
         "inner-int", "map-int", "b-short", "b-true", "b-number", "parts-int", "parts-empty",
         "theta-list", "b-missing", "parts-nested", "deeply-nested", "suite-inner",
-        "suite-missing"])
+        "suite-missing", "suite-map-missing", "suite-start-missing", "identity-model",
+        "mixed-composition", "suite-identity-model"])
 def test_a_value_of_the_wrong_type_shape_or_n_is_a_config_error(tmp_path, capsys, command,
                                                                  extra, message):
     # these ran on a truncated or converted value, or stopped with a message
@@ -613,6 +625,13 @@ def test_classify_command_tops_up_duplicate_starts(tmp_path, capsys):
            "starts": [[0.3, 0.0], [0.3, 0.0]], "n_max": 2000}
     assert run(tmp_path, "classify", cfg) == cli.EXIT_OK
     assert capsys.readouterr().out.splitlines()[0] == "elliptic"
+
+
+def test_classify_command_tops_up_a_start_of_another_n(tmp_path, capsys):
+    # the N = 2 defaults beside an N = 3 start raised numpy's "inhomogeneous shape"
+    cfg = {"map": _SIEGEL, "start": [[1.0, 0.0], [0.1, 0.0], [0.1, 0.0]], "n_max": 20_000}
+    assert run(tmp_path, "classify", cfg) == cli.EXIT_OK
+    assert capsys.readouterr().out.startswith("parabolic")
 
 
 def test_probe_command_needs_five_distinct_starts(tmp_path, capsys):

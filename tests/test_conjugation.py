@@ -197,7 +197,8 @@ def test_run_grid_steps_translations_in_blocks(monkeypatch):
                         lambda self, z: calls.append(z) or self.lam * z + self.b)
     fill = maps._fill_block
     monkeypatch.setattr(maps, "_fill_block",
-                        lambda *args: blocks.append((args[-2], args[-1].shape)) or fill(*args))
+                        lambda *args, **form: blocks.append((args[-2], args[-1].shape))
+                        or fill(*args, **form))
     conjugation._run_grid(maps.HalfplaneAffine(1.0, 0.5 + 1j), conjugation.default_grid(),
                           1.0, _GRID_CPS)
     # a block of min(c, 256) rows ends at each checkpoint c, and one call per checkpoint

@@ -245,6 +245,22 @@ def test_classify_takes_the_dimension_from_the_map():
     assert isinstance(ball, dynamics.ClassificationReport)
 
 
+def test_classify_tops_up_with_defaults_of_the_start_n():
+    # the N = 2 defaults beside an N = 3 start raised numpy's "inhomogeneous shape"
+    start = np.array([1.0, 0.1, 0.1], np.complex128)
+    rep = dynamics.classify(maps.SiegelTranslation(1.0), starts=[start],
+                            budgets=Budgets(n_max=20_000))
+    assert rep.type == "parabolic"
+    siegel = dynamics.default_starts("siegel")
+    for like, dim in ((start, 3), (start[:1], 1), (None, 2)):
+        fitted = dynamics._fit_starts(maps.SiegelTranslation(1.0), siegel, like)
+        assert [s.shape for s in fitted] == [(dim,)] * 3
+    # a map that fixes N keeps its N, and planar starts stay numbers
+    assert dynamics._fit_starts(maps.HeisenbergTranslation((0.5,)), siegel, start)[0].shape == (2,)
+    disk = dynamics.default_starts("disk")
+    assert dynamics._fit_starts(maps.DiskMoebius(0.5), disk, 0.3) is disk
+
+
 def test_default_starts_fit_the_map_dimension():
     siegel = dynamics.default_starts("siegel")
     for dim in (1, 2, 3):
@@ -1353,3 +1369,126 @@ def test_an_orbit_that_stops_in_the_first_block_costs_one_block(monkeypatch):
     orbit = dynamics.iterate(maps.DiskMoebius(0.5), 0.3j, 100_000)
     assert orbit.stop_reason == "boundary_proximity" and orbit.length == 28
     assert len(calls) == 256
+
+
+# ---------------------------------------------------------------------------
+# proven group orbits: no screen where no step can stop the orbit, and the
+# closed-form step
+
+
+def _outcome(spec, start, n_max, policy=None):
+    """iterate's stop reason, length and point bytes, or its EvaluationError's index and margin."""
+    try:
+        orbit = dynamics.iterate(spec, start, n_max, policy)
+    except EvaluationError as err:
+        return err.index, err.margin
+    return orbit.stop_reason, orbit.length, orbit.points.tobytes()
+
+
+_EDGE_BOUND = abs(complex(dynamics.iterate(
+    maps.SiegelTranslation(1e6), _siegel([1.0, 0.3])[0], 1000).points[-1, 0]))
+
+# (spec, start, n_max, policy, whether the stop is proven free) of group orbits: at the
+# edges of the proof, those it must leave to the screen and a few just inside, and below
+# every group orbit of the engine and schedule cases
+PROOF_CASES = {
+    # |z_n| passes 1e12 at step 10_000
+    "magnitude": (maps.SiegelTranslation(1e8), _siegel([1.0, 0.3])[0], 20_000, None, False),
+    # |z_1000| is the limit, which the screen passes, but the bound's slack does not
+    "magnitude_at_the_limit": (maps.SiegelTranslation(1e6), _siegel([1.0, 0.3])[0], 1000,
+                               StoppingPolicy(max_magnitude=_EDGE_BOUND), False),
+    "magnitude_past_the_limit": (maps.SiegelTranslation(1e6), _siegel([1.0, 0.3])[0], 1000,
+                                 StoppingPolicy(max_magnitude=np.nextafter(_EDGE_BOUND, 0.0)),
+                                 False),
+    # z moves by a few ulps a step: a fixed point at step 1
+    "tiny_beta": (maps.SiegelTranslation(1e-15), _siegel([1.0, 0.3])[0], 1000, None, False),
+    "tiny_a": (maps.HeisenbergTranslation((1e-15,)), _siegel([1.0, 0.3])[0], 1000, None, False),
+    # Re beta < 0: the orbit leaves the domain at step 601
+    "negative_re_beta": (maps.compose(maps.SiegelTranslation(-0.5),
+                                      maps.HeisenbergTranslation((0.25,))),
+                         _siegel([300.5, 0.2])[0], 2000, None, False),
+    # A_0 = 2^-32 is half an ulp of ||w_n||^2 = (1000 + n)^2 from n = 449 on, where
+    # Re z_n - ||w_n||^2 rounds to 0; with A_0 = 1e-3 it stays clear of the rounding
+    "margin_below_ulp": (maps.HeisenbergTranslation((1.0,)), _siegel([1e6 + 2.3e-10, 1e3])[0],
+                         1000, None, False),
+    "margin_above_ulp": (maps.HeisenbergTranslation((1.0,)), _siegel([1e6 + 1e-3, 1e3])[0],
+                         1000, None, True),
+    "planar": (maps.HalfplaneAffine(1.0, 0.5 + 1j), 1.0, 1000, None, True),
+    "planar_magnitude": (maps.HalfplaneAffine(1.0, 1e9), 1.0, 1500, None, False),
+    "planar_tiny_beta": (maps.HalfplaneAffine(1.0, 1e-15), 1.0, 100, None, False),
+}
+for _name, (_spec, _starts, _n_max, _stops) in ENGINE_CASES.items():
+    if _is_translation(_spec):
+        for _i, (_start, _stop) in enumerate(zip(_starts, _stops)):
+            PROOF_CASES[f"engine_{_name}_{_i}"] = (_spec, _start, _n_max, None, _stop == "max_iter")
+for _name, (_spec, _start) in SCHEDULE_CASES.items():
+    if _is_translation(_spec):
+        PROOF_CASES[f"schedule_{_name}"] = (_spec, _start, _SCHEDULE_EDGES[-1], None, True)
+
+
+@pytest.mark.parametrize("name", sorted(PROOF_CASES))
+def test_proven_orbits_match_the_screened_path(name, monkeypatch):
+    spec, start, n_max, policy, free = PROOF_CASES[name]
+    fill = maps._block_fill(spec, maps.MODELS[spec.model].point(start))
+    assert maps._stop_free(n_max, policy or StoppingPolicy(), **fill.keywords) is free
+    proven = _outcome(spec, start, n_max, policy)
+    monkeypatch.setattr(maps, "_stop_free", lambda *args, **form: False)
+    screened = _outcome(spec, start, n_max, policy)
+    assert proven == screened
+    if free:
+        assert screened[:2] == ("max_iter", n_max + 1)
+
+
+def test_a_proven_orbit_fills_its_blocks_and_screens_none(monkeypatch):
+    fills, screens = [], []
+    fill_block, first_stop = maps._fill_block, dynamics._first_stop
+    monkeypatch.setattr(maps, "_fill_block", lambda *args, **form:
+                        fills.append((args[-2], len(args[-1]))) or fill_block(*args, **form))
+    monkeypatch.setattr(dynamics, "_first_stop",
+                        lambda *args: screens.append(args[-1]) or first_stop(*args))
+    for spec, starts in _HARNESS_STARTS.items():
+        fills.clear()
+        assert dynamics.iterate(spec, starts[0], 10_000).stop_reason == "max_iter"
+        assert fills == [(t, end - t) for t, end in dynamics._blocks(10_000)]
+    assert screens == []
+    # an orbit the proof leaves to the screen fills and screens block by block
+    spec, start, n_max, policy, _ = PROOF_CASES["magnitude"]
+    fills.clear()
+    assert dynamics.iterate(spec, start, n_max, policy).stop_reason == "boundary_proximity"
+    assert [t for t, _ in fills] == screens == [0, *_BLOCK_ENDS[:5]]
+
+
+@pytest.mark.parametrize("name", sorted(OUTSIDE_THE_GROUP))
+def test_orbits_outside_the_group_take_the_stored_point_step(name):
+    spec, start = OUTSIDE_THE_GROUP[name]
+    orbit = dynamics.iterate(spec, start, 2000)
+    stored = maps.MODELS[orbit.model].step_series(orbit.points)
+    assert dynamics.step_series(orbit).s.tobytes() == stored.tobytes()
+    # a hand-built orbit has no map to take (a, beta) from
+    orbit = dynamics.iterate(maps.HalfplaneAffine(1.0, 0.3 + 0.1j), 1.0, 100)
+    built = dynamics.Orbit(None, "halfplane", None, orbit.points, "max_iter")
+    stored = maps.MODELS["halfplane"].step_series(orbit.points)
+    assert dynamics.step_series(built).s.tobytes() == stored.tobytes()
+
+
+@pytest.mark.parametrize("row", range(len(_SUITE)))
+def test_the_final_step_is_the_50_digit_step(row):
+    # the stored-point formula was off by up to 1.7e-7 on the Heisenberg rows
+    spec, start = _SUITE[row]
+    s = dynamics.step_series(dynamics.iterate(spec, start, 100_000)).s
+    exact = closed_form.step(spec, start, 99_999)
+    assert abs(s[-1] - exact) <= 1e-15 * exact
+
+
+@pytest.mark.parametrize("spec, start", [
+    (maps.SiegelTranslation(0.75), _siegel([1.5, 0.3 - 0.1j])[0]),
+    (maps.compose(maps.SiegelTranslation(1j), maps.SiegelTranslation(0.5)), _siegel([2.0, 0.3])[0]),
+    (maps.HalfplaneAffine(1.0, 0.5 - 0.25j), 1.0 + 0.5j),
+])
+def test_the_closed_form_step_of_a_pure_translation_is_the_stored_point_formula(spec, start):
+    # with a = 0 and dyadic parameters every step is exactly beta, so the two formulas
+    # read the same margins and the same |u|
+    orbit = dynamics.iterate(spec, start, 20_000)
+    closed = dynamics.step_series(orbit).s
+    stored = maps.MODELS[orbit.model].step_series(orbit.points)
+    assert closed.tobytes() == stored.tobytes()

@@ -320,6 +320,13 @@ def test_spec_from_dict_names_the_path_of_a_bad_parameter():
         maps.spec_from_dict(inner, "suite[2].map")
     with pytest.raises(ValueError, match=r"^map\.inner must be an object, got 5$"):
         maps.spec_from_dict({"family": "Conjugated", "inner": 5})
+    # a family's own check of its parameters is prefixed with the path of the map
+    with pytest.raises(ModelMismatchError, match=r"^suite\[3\]\.map: unknown model 'torus'$"):
+        maps.spec_from_dict({"family": "Identity", "model": "torus"}, "suite[3].map")
+    parts = [{"family": "HalfplaneAffine", "lam": 1.0}, {"family": "Identity", "model": "siegel"}]
+    with pytest.raises(ModelMismatchError, match=r"^map\.inner: mixed models in composition"):
+        maps.spec_from_dict({"family": "Conjugated",
+                             "inner": {"family": "Composition", "parts": parts}})
 
 
 # lam != 1 and a non-finite b: test_affine_block_only_for_finite_translations
