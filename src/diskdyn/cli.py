@@ -2,7 +2,9 @@
 
 Every command reads a single JSON experiment config (``--config``) and writes
 its outputs under ``--out``; CSV output is comma-delimited with '.' decimals and
-17 significant digits.  Exit codes: 0 success, 1 usage / bad config,
+17 significant digits, written column-wise byte for byte as ``format(x, ".17g")``
+(``_decimal``).  Configs are read, and outputs written, as UTF-8 with ``\\n`` line
+ends on every locale.  Exit codes: 0 success, 1 usage / bad config,
 2 inconclusive verdict or failed harness row, 3 numeric failure.
 
 ``main`` checks the whole config before any command runs.  A key that no
@@ -46,6 +48,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_NUMERIC = 3
+_CHUNK = 8192  # CSV lines per matrix of cells
 
 
 def _fmt(x: float) -> str:
@@ -53,12 +56,13 @@ def _fmt(x: float) -> str:
 
 
 def write_atomic(path: str, text: str) -> None:
+    """text written to path as UTF-8, newlines as they are, through a temp file and a rename."""
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(text.encode("utf-8"))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -179,31 +183,32 @@ def parse_config(raw: dict, n_max: int | None = None) -> Config:
     return Config(spec, starts, probe_starts, budgets, kind, conjugate, plot, suite)
 
 
-def _orbit_rows(orbit, *series) -> tuple:
-    """Header and lines: n, the coordinate re/im pairs, then one column per series.
-
-    Each line comes from one format string mapped over the columns; a series
-    shorter than the orbit leaves its last cells empty.
-    """
+def _orbit_columns(orbit, *series) -> tuple:
+    """Header and columns: n, the coordinate re/im pairs, then one column per series."""
     pts = orbit.points.reshape(orbit.length, -1)  # planar orbits are the N = 1 case
     dim = pts.shape[1]
     if dim == 1:
         header = ["n", "re", "im"]
     else:
         header = ["n"] + [c for j in range(dim) for c in (f"re{j}", f"im{j}")]
-    cols = [range(orbit.length)]
+    cols = [np.arange(orbit.length)]
     for j in range(dim):
-        cols += [pts[:, j].real.tolist(), pts[:, j].imag.tolist()]
-    series = [np.asarray(s, np.float64).tolist() for s in series]
-    lines, start = [], 0
-    # between two series ends, the same series have cells on every line
-    for end in sorted({orbit.length} | {min(len(s), orbit.length) for s in series}):
-        have = [len(s) >= end for s in series]
-        fmt = "{}" + ",{:.17g}" * (2 * dim) + "".join(",{:.17g}" if h else "," for h in have)
-        present = [s for s, h in zip(series, have) if h]
-        lines += map(fmt.format, *(c[start:end] for c in cols + present))
-        start = end
-    return header, lines
+        cols += [pts[:, j].real, pts[:, j].imag]
+    return header, cols + [np.asarray(s, np.float64)[:orbit.length] for s in series]
+
+
+def _write_columns(path: str, header, cols) -> None:
+    """The CSV of cols side by side; a column shorter than the longest ends in empty cells."""
+    from . import _decimal  # compiled on first use, not by every import of the cli
+    text = [",".join(header) + "\n"]
+    for i in range(0, max(map(len, cols), default=0), _CHUNK):
+        parts = []
+        for c in cols:
+            fmt = "d" if c.dtype.kind in "iu" else ".17g"
+            parts += [_decimal.cells(c[i:i + _CHUNK], fmt), b","]
+        parts[-1] = b"\n"
+        text.append(_decimal.join(parts))
+    write_atomic(path, "".join(text))
 
 
 def _write_csv(path: str, header, lines) -> None:
@@ -238,8 +243,7 @@ def cmd_classify(cfg, args) -> int:
 
 def cmd_orbit(cfg, args) -> int:
     orbit = cfg.first_orbit()
-    header, lines = _orbit_rows(orbit)
-    _write_csv(os.path.join(args.out, "orbit.csv"), header, lines)
+    _write_columns(os.path.join(args.out, "orbit.csv"), *_orbit_columns(orbit))
     print(f"orbit: {orbit.length} points, stop_reason={orbit.stop_reason}")
     return EXIT_NUMERIC if orbit.stop_reason == "numeric_failure" else EXIT_OK
 
@@ -247,8 +251,8 @@ def cmd_orbit(cfg, args) -> int:
 def cmd_steps(cfg, args) -> int:
     orbit = cfg.first_orbit()
     st = dynamics.step_series(orbit, cfg.budgets)
-    header, lines = _orbit_rows(orbit, st.s)
-    _write_csv(os.path.join(args.out, "steps.csv"), header + ["s_n"], lines)
+    header, cols = _orbit_columns(orbit, st.s)
+    _write_columns(os.path.join(args.out, "steps.csv"), header + ["s_n"], cols)
     print(f"verdict: {st.verdict}, d_inf≈{st.d_inf_estimate:.10g}")
     return EXIT_INCONCLUSIVE if st.verdict == "inconclusive" else EXIT_OK
 
@@ -259,9 +263,9 @@ def cmd_approach(cfg, args) -> int:
     ap, (special, koranyi, nt, *_) = diagnostics._approach(orbit, None, cfg.budgets, whole=True)
     rq = diagnostics.radial_quotient_series(orbit)
     # np.hypot rounds as the scalar abs does; the array abs can differ in the last bit
-    header, lines = _orbit_rows(orbit, koranyi, special, nt, np.hypot(rq.real, rq.imag))
+    header, cols = _orbit_columns(orbit, koranyi, special, nt, np.hypot(rq.real, rq.imag))
     header += ["koranyi_q", "special_ratio", "nt_q", "radial_q"]
-    _write_csv(os.path.join(args.out, "approach.csv"), header, lines)
+    _write_columns(os.path.join(args.out, "approach.csv"), header, cols)
     print(
         f"special={ap.is_special} restricted={ap.is_restricted} "
         f"in_koranyi={ap.in_koranyi} nontangential={ap.is_nontangential} "
@@ -276,9 +280,8 @@ def cmd_conjugate(cfg, args) -> int:
     res = normalized(cfg.spec, **cfg.conjugate)
     for n in res.checkpoints:
         header = ["re_g", "im_g", "re_psi", "im_psi"]
-        cols = [v.tolist() for c in (res.grid, res.psi_n[n]) for v in (c.real, c.imag)]
-        lines = map(",".join(["{:.17g}"] * 4).format, *cols)
-        _write_csv(os.path.join(args.out, f"conjugation_n{n}.csv"), header, lines)
+        cols = [v for c in (res.grid, res.psi_n[n]) for v in (c.real, c.imag)]
+        _write_columns(os.path.join(args.out, f"conjugation_n{n}.csv"), header, cols)
     report = conjugation.conjugation_report(res)
     write_atomic(os.path.join(args.out, "conjugation_summary.txt"), report + "\n")
     print(report)
@@ -369,7 +372,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:  # every config error shows here, before any command writes
-        raw = json.loads(pathlib.Path(args.config).read_text()) if args.config else {}
+        text = pathlib.Path(args.config).read_text(encoding="utf-8") if args.config else "{}"
+        raw = json.loads(text)
         cfg = parse_config(raw, args.n_max)
         if cfg.spec is None and args.command != "harness":
             raise KeyError("config is missing the 'map' entry")

@@ -19,11 +19,7 @@ def orbit_disk_coords(orbit) -> np.ndarray:
     return pts.reshape(orbit.length, -1)[:, 0]  # planar orbits are the N = 1 case
 
 
-_fmt = "{:.6f}".format  # a bound method: the coordinate columns map it over their floats
-
-
-def _xy(z: complex) -> tuple:
-    return _CENTER + _SCALE * z.real, _CENTER - _SCALE * z.imag
+_fmt = "{:.6f}".format  # the scalars; the coordinate columns are _decimal cells
 
 
 def render_orbit_svg(
@@ -37,6 +33,7 @@ def render_orbit_svg(
 
     Pure function of its arguments; identical inputs give identical bytes.
     """
+    from . import _decimal  # compiled on first use, not by every import of plotting
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE:g}" height="{_SIZE:g}" '
         f'viewBox="0 0 {_SIZE:g} {_SIZE:g}">',
@@ -48,12 +45,12 @@ def render_orbit_svg(
         title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         out.append(f'<text x="10" y="20" font-size="14">{title}</text>')
     pts = np.atleast_1d(np.asarray(disk_pts, np.complex128))
-    # the operations of _xy on every point at once, each coordinate formatted once
-    xs = list(map(_fmt, (_CENTER + _SCALE * pts.real).tolist()))
-    ys = list(map(_fmt, (_CENTER - _SCALE * pts.imag).tolist()))
-    n = len(xs)
+    # every point's canvas coordinates at once, each formatted once
+    x, y = _CENTER + _SCALE * pts.real, _CENTER - _SCALE * pts.imag
+    xs, ys = _decimal.cells(x, ".6f"), _decimal.cells(y, ".6f")
+    n = len(pts)
     if n >= 2:
-        coords = " ".join(map("{},{}".format, xs, ys))
+        coords = _decimal.join([xs, b",", ys, b" "])[:-1]
         out.append(
             f'<polyline points="{coords}" fill="none" stroke="steelblue" stroke-width="0.8"/>'
         )
@@ -64,13 +61,14 @@ def render_orbit_svg(
                 (tail, n - 1, marker_size * 1.0, "darkorange"),
                 (n - 1, n, marker_size * 1.6, "crimson"))
         for a, b, r, color in runs:
-            template = f'<circle cx="{{}}" cy="{{}}" r="{_fmt(r)}" fill="{color}"/>'
-            out += map(template.format, xs[a:b], ys[a:b])
+            if b > a:
+                end = f'" r="{_fmt(r)}" fill="{color}"/>\n'.encode()
+                out.append(_decimal.join([b'<circle cx="', xs[a:b], b'" cy="', ys[a:b], end])[:-1])
         out.append(
-            f'<circle cx="{xs[0]}" cy="{ys[0]}" r="{_fmt(marker_size * 1.6)}" '
+            f'<circle cx="{_fmt(x[0])}" cy="{_fmt(y[0])}" r="{_fmt(marker_size * 1.6)}" '
             'fill="none" stroke="seagreen" stroke-width="1.2"/>'
         )
-    dx, dy = _xy(complex(dw))
+    dx, dy = _CENTER + _SCALE * complex(dw).real, _CENTER - _SCALE * complex(dw).imag
     out.append(
         f'<circle cx="{_fmt(dx)}" cy="{_fmt(dy)}" r="{_fmt(marker_size * 2.0)}" '
         'fill="none" stroke="black" stroke-width="1.5"/>'

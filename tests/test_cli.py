@@ -1,13 +1,17 @@
 import dataclasses
+import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 from dataclasses import dataclass
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
 
-from diskdyn import cli, dynamics, maps
+from diskdyn import cli, conjugation, dynamics, maps
 
 
 def run(tmp_path, command, cfg=None, extra=()):
@@ -743,7 +747,61 @@ def test_orbit_csv_matches_the_cell_loop(tmp_path, case):
          [steps[: n // 2], full[0]]),
     ]
     for named, series in cases:
-        header, lines = cli._orbit_rows(orbit, *series)
-        cli._write_csv(path, header + [name for name, _, _ in named], lines)
+        header, cols = cli._orbit_columns(orbit, *series)
+        cli._write_columns(path, header + [name for name, _, _ in named], cols)
         with open(path, "rb") as fh:
             assert fh.read() == reference_orbit_csv(orbit, named)
+
+
+@pytest.mark.parametrize("kind", ["pommerenke", "baker_pommerenke"])
+def test_conjugation_csv_matches_the_cell_loop(tmp_path, kind):
+    spec = maps.HalfplanePerturbed(0.5 + 1.0j, 1.0)
+    checkpoints = (10, 100, 1000)
+    cfg = {"map": maps.spec_to_dict(spec), "kind": kind, "checkpoints": list(checkpoints)}
+    assert run(tmp_path, "conjugate", cfg) == cli.EXIT_OK
+    res = getattr(conjugation, f"{kind}_normalized")(spec, checkpoints=checkpoints)
+    for n in checkpoints:
+        lines = ["re_g,im_g,re_psi,im_psi"] + [
+            ",".join(_fmt_reference(v) for v in (g.real, g.imag, p.real, p.imag))
+            for g, p in zip(res.grid, res.psi_n[n])]
+        want = ("\n".join(lines) + "\n").encode()
+        assert (tmp_path / f"conjugation_n{n}.csv").read_bytes() == want
+
+
+def test_config_and_outputs_are_utf8_in_the_c_locale(tmp_path):
+    # with ASCII as the locale's encoding, this config was refused at read, and the
+    # escaped title raised "'ascii' codec can't encode" and left an empty --out
+    cfg = {"map": {"family": "HalfplaneAffine", "lam": 1.0, "b": [1.0, 0.0]},
+           "start": [1.0, 0.0], "n_max": 200, "plot": {"title": "fé <1>"}}
+    path = tmp_path / "config.json"
+    path.write_bytes(json.dumps(cfg, ensure_ascii=False).encode("utf-8"))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for command in ("plot", "orbit"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "diskdyn.cli", command, "--config", str(path),
+             "--out", str(tmp_path / "out")], env=env, capture_output=True, timeout=120)
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+    svg = (tmp_path / "out" / "plot.svg").read_bytes()
+    assert '<text x="10" y="20" font-size="14">fé &lt;1&gt;</text>'.encode() in svg
+    ElementTree.fromstring(svg)
+    assert b"\r" not in svg and b"\r" not in (tmp_path / "out" / "orbit.csv").read_bytes()
+
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+
+
+def test_export_outputs_match_the_recorded_hashes(tmp_path):
+    # export.sha256 holds the outputs of the per-value format writer that the
+    # column writer replaced; CI checks the installed console script against it too
+    siegel, halfplane = (os.path.join(DATA, f"export_{m}.json") for m in ("siegel", "halfplane"))
+    runs = [(c, siegel) for c in ("orbit", "steps", "approach", "plot")]
+    runs.append(("conjugate", halfplane))
+    for command, config in runs:
+        assert cli.main([command, "--config", config, "--out", str(tmp_path)]) == cli.EXIT_OK
+    with open(os.path.join(DATA, "export.sha256")) as fh:
+        recorded = [line.split() for line in fh]
+    assert sorted(name for _, name in recorded) == sorted(os.listdir(tmp_path))
+    for digest, name in recorded:
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name

@@ -154,6 +154,31 @@ def test_harness_raises_other_precondition_errors(spec, start, n_max, match):
         diagnostics.theorem_harness([(spec, start)], budgets=Budgets(n_max=n_max))
 
 
+def test_harness_calls_an_inconclusive_restricted_row_weak_evidence_not_a_violation():
+    # far out, 2,000 steps of z + 1 leave the step verdict inconclusive; the note
+    # read "THEOREM VIOLATION: restricted but not zero step" on both rows
+    suite = [(maps.SiegelTranslation(1.0), np.array([1e4, 0.0], np.complex128)),
+             (maps.HalfplaneAffine(1.0, 1.0), 1e4 + 0j)]
+    rep = diagnostics.theorem_harness(suite, budgets=Budgets(n_max=2_000))
+    for row in rep.rows:
+        assert (row.restricted, row.step_verdict, row.passed) == (True, "inconclusive", False)
+        assert row.notes == "step verdict inconclusive; raise the budget", row.label
+    assert rep.n_failed == 2
+
+
+def test_harness_names_a_restricted_nonzero_step_row_a_theorem_violation(monkeypatch):
+    real = diagnostics.step_series
+
+    def nonzero(orbit, budgets=None):
+        return dataclasses.replace(real(orbit, budgets), verdict="nonzero_step")
+
+    monkeypatch.setattr(diagnostics, "step_series", nonzero)
+    suite = [(maps.SiegelTranslation(1.0), np.array([1.5, 0.2], np.complex128))]
+    row, = diagnostics.theorem_harness(suite, budgets=Budgets(n_max=2_000)).rows
+    assert (row.restricted, row.step_verdict, row.passed) == (True, "nonzero_step", False)
+    assert row.notes == "THEOREM VIOLATION: restricted but not zero step"
+
+
 # (spec, step verdict, restricted): half-plane rows are the N = 1 case, where the
 # check is the one-variable theorem, non-tangential parabolic approach => zero step
 HALFPLANE_ROWS = [
