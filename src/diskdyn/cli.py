@@ -76,7 +76,8 @@ _RULES = {
     "an integer >= 0": lambda x: type(x) is int and x >= 0,
     "integers >= 1": lambda x: (isinstance(x, (list, tuple)) and len(x) > 0
                                 and all(type(c) is int and c >= 1 for c in x)),
-    "a string or a number": lambda x: isinstance(x, str) or _RULES["a number"](x),
+    "a string or a number": lambda x: (isinstance(x, str) and x == x.encode(errors="replace").decode()
+                                       or _RULES["a number"](x)),  # no lone surrogate
     "a list": lambda x: isinstance(x, list),
     "a non-empty list": lambda x: isinstance(x, list) and len(x) > 0,
 }
@@ -367,6 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys.stdout, "reconfigure"):  # an ASCII console prints "≈" as \u2248
+        sys.stdout.reconfigure(errors="backslashreplace")
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
@@ -389,6 +392,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (KeyError, TypeError, ValueError) as exc:
+        if isinstance(exc, UnicodeError):  # text an output cannot hold is no config error
+            raise
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

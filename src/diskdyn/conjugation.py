@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import maps
-from .dynamics import _PRECHECK_N, _require_parabolic, iterate, step_series
+from .dynamics import _PRECHECK_N, _orbit_from, _require_parabolic, step_series
 from .errors import DegenerateInputError, PreconditionError
 
 __all__ = [
@@ -83,8 +83,9 @@ def _run_grid(spec, grid, basepoint, checkpoints):
 
     A translation-group map (``maps._block_fill``) writes the row at
     checkpoint n in closed form from the grid, as the last row of a block of
-    up to ``_CHUNK`` steps; every other map is called once per step.  At each
-    checkpoint n, f_{n+1} is one more call.
+    up to ``_CHUNK`` steps; ``maps._grid_advance`` steps a ``HalfplanePerturbed``
+    grid in place, as its calls would; every other map is called once per
+    step.  At each checkpoint n, f_{n+1} is one more call.
 
     Returns per-checkpoint tuples (f_n(grid), f_{n+1}(grid), z_n, z_{n+1}).
     """
@@ -93,12 +94,15 @@ def _run_grid(spec, grid, basepoint, checkpoints):
     if want[0] < 1:
         raise PreconditionError("checkpoints must be >= 1")
     fill = maps._block_fill(spec, pts)
+    advance = maps._grid_advance(spec, pts)
     rows = None if fill is None else np.empty((_CHUNK, pts.size), np.complex128)
     samples = {}
-    cur = pts
+    cur = pts  # a new array, which advance may step in place
     n = 0
     for c in want:
-        if fill is None:
+        if advance is not None:
+            advance(cur, c - n)
+        elif fill is None:
             for _ in range(n, c):
                 cur = spec(cur)
         else:
@@ -131,9 +135,9 @@ def _normalized(kind, spec, basepoint, grid, checkpoints, precheck_n) -> Conjuga
     """
     if spec.model != "halfplane":
         raise PreconditionError("conjugations are defined for half-plane maps")
-    _require_parabolic(spec, precheck_n)
+    orbits = _require_parabolic(spec, precheck_n, orbits=())  # they serve a default basepoint
     if kind == "baker_pommerenke":
-        verdict = step_series(iterate(spec, basepoint, precheck_n)).verdict
+        verdict = step_series(_orbit_from(orbits, spec, basepoint, precheck_n)).verdict
         if verdict != "zero_step":
             raise PreconditionError(
                 f"basepoint orbit is {verdict}; the Abel normalization needs zero_step"

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import maps
 from .dynamics import (
-    _PRECHECK_N, Budgets, Orbit, _distinct, _fit_starts, _require_parabolic, classify, iterate,
-    step_series,
+    _PRECHECK_N, Budgets, Orbit, _distinct, _fit_starts, _orbit_from, _require_parabolic, classify,
+    default_starts, iterate, step_series,
 )
 from .errors import ModelMismatchError, PreconditionError
 from .geometry import MODELS, BoundaryPoint
@@ -333,17 +333,30 @@ def conjecture_probe(spec, starts=None, budgets: Budgets | None = None) -> Probe
         starts = _fit_starts(spec, [model.point(s) for s in model.starts + model.probe_starts])
     if _distinct(starts) < 5:
         raise PreconditionError("the probe wants at least 5 distinct starts")
-    _require_parabolic(spec, _PRECHECK_N, budgets)
-    verdicts = []
-    dinfs = []
-    for s in starts:
-        st = step_series(iterate(spec, s, budgets.n_max), budgets)
-        verdicts.append(st.verdict)
-        dinfs.append(st.d_inf_estimate)
+
+    def run(s, prefixes=None):  # (verdict, d_inf) of the orbit of s, and its precheck prefix
+        orbit = iterate(spec, s, budgets.n_max)
+        st = step_series(orbit, budgets)
+        if prefixes is not None:
+            prefixes.append(_orbit_from([orbit], spec, s, _PRECHECK_N))
+        return st.verdict, st.d_inf_estimate
+
+    done, prefixes = {}, []
+    if budgets.n_max >= _PRECHECK_N:
+        # the precheck reads prefixes of these orbits; if one raises, the precheck runs first
+        defaults = _fit_starts(spec, default_starts(spec.model))
+        try:
+            done = {i: run(s, prefixes) for i, s in enumerate(starts)
+                    if any(np.array_equal(s, d) for d in defaults)}
+        except Exception:
+            done = {}
+    _require_parabolic(spec, _PRECHECK_N, budgets, prefixes if done else None)
+    del prefixes  # not held through the other starts' orbits
+    verdicts, dinfs = zip(*(done[i] if i in done else run(s) for i, s in enumerate(starts)))
     if "inconclusive" in verdicts:
         flag = "INCONCLUSIVE"
     elif len(set(verdicts)) == 1:
         flag = "CONSISTENT"
     else:
         flag = "DISCREPANT"
-    return ProbeReport(_spec_label(spec), tuple(starts), tuple(verdicts), tuple(dinfs), flag)
+    return ProbeReport(_spec_label(spec), tuple(starts), verdicts, dinfs, flag)

@@ -148,8 +148,8 @@ def iterate(spec, start, n_max: int, policy: StoppingPolicy | None = None) -> Or
 
     A translation-group map (``maps._block_fill``) writes each block in closed form, and
     where ``maps._stop_free`` proves that no step stops the orbit, no block is screened.
-    Other maps are called once per step, their block's points stored together, so a map
-    must not change its point; a non-finite start raises DomainError.
+    Other maps are called once a step by ``spec.__call__``, bound once, a block's points stored
+    together, so a map must not change its point; a non-finite start raises DomainError.
     """
     policy = policy or StoppingPolicy()
     model = MODELS[spec.model]
@@ -159,6 +159,7 @@ def iterate(spec, start, n_max: int, policy: StoppingPolicy | None = None) -> Or
         raise DomainError(f"start lies outside the {spec.model} domain")
     fill = maps._block_fill(spec, cur)
     proven = fill is not None and maps._stop_free(n_max, policy, **fill.keywords)
+    call = spec.__call__  # bound once: the class's __call__, as spec(cur) would call
     buf = np.empty((n_max + 1,) + np.shape(cur), np.complex128)
     rows = buf.reshape(n_max + 1, -1)  # planar points are the N = 1 case
     buf[0] = cur
@@ -168,13 +169,12 @@ def iterate(spec, start, n_max: int, policy: StoppingPolicy | None = None) -> Or
             fill(t, buf[t + 1 : end + 1])
         else:
             pts = []
-            for j in range(t + 1, end + 1):
-                try:
-                    cur = spec(cur)
-                except Exception as err:  # raised only if no earlier step stops
-                    exc, end = err, j - 1
-                    break
-                pts.append(cur)
+            try:
+                for _ in range(t, end):
+                    cur = call(cur)
+                    pts.append(cur)
+            except Exception as err:  # raised only if no earlier step stops
+                exc, end = err, t + len(pts)
             try:
                 buf[t + 1 : end + 1] = pts
             except Exception:  # a point that is not a number: find the first one
@@ -388,14 +388,18 @@ def _native_boundary_point(model: Model, p: np.ndarray):
 def classify(spec, starts=None, budgets: Budgets | None = None) -> ClassificationReport:
     """Elliptic / hyperbolic / parabolic verdict from orbit behavior."""
     budgets = budgets or Budgets()
-    model = MODELS[spec.model]
     starts = list(starts) if starts is not None else []
     defaults = _fit_starts(spec, default_starts(spec.model), starts[0] if starts else None)
     if _distinct(starts) < 2:
         starts += [d for d in defaults if not any(np.array_equal(d, s) for s in starts)]
-    notes = []
     # one orbit per start serves both the Denjoy-Wolff point and the multiplier
-    orbits = [iterate(spec, s, budgets.n_max) for s in starts]
+    return _classify(spec, starts, [iterate(spec, s, budgets.n_max) for s in starts], budgets)
+
+
+def _classify(spec, starts, orbits, budgets: Budgets) -> ClassificationReport:
+    """classify from the orbits of its starts, budgets.n_max steps each."""
+    model = MODELS[spec.model]
+    notes = []
     try:
         p, location = _common_limit(model, orbits, budgets.tol_dw)
     except EstimationError as exc:
@@ -426,13 +430,29 @@ def classify(spec, starts=None, budgets: Budgets | None = None) -> Classificatio
     else:
         kind = "inconclusive"
         notes.append(f"multiplier {c!r} outside both verdict bands")
-    return ClassificationReport(
-        _native_boundary_point(model, p), "boundary", c, kind, tuple(notes)
-    )
+    return ClassificationReport(_native_boundary_point(model, p), "boundary", c, kind, tuple(notes))
 
 
-def _require_parabolic(spec, n_max: int, budgets: Budgets | None = None) -> None:
-    """Raise PreconditionError unless classify, in n_max steps of budgets, calls spec parabolic."""
-    rep = classify(spec, budgets=replace(budgets or Budgets(), n_max=n_max))
+def _require_parabolic(spec, n_max: int, budgets: Budgets | None = None, orbits=None):
+    """Raise PreconditionError unless classify, in n_max steps of budgets, calls spec parabolic;
+    given orbits of spec, return the default starts' orbits, read from them where one serves."""
+    budgets = replace(budgets or Budgets(), n_max=n_max)
+    starts = _fit_starts(spec, default_starts(spec.model))
+    own = None if orbits is None else [_orbit_from(orbits, spec, s, n_max) for s in starts]
+    rep = classify(spec, budgets=budgets) if own is None else _classify(spec, starts, own, budgets)
     if rep.type != "parabolic":
         raise PreconditionError(f"map classifies as {rep.type}, need parabolic")
+    return own
+
+
+def _orbit_from(orbits, spec, start, n_max: int) -> Orbit:
+    """iterate(spec, start, n_max), copied from the first of orbits from the same point that ran
+    n_max steps or stopped before: a shorter orbit's steps and stop tests are a longer one's."""
+    key = lambda s: np.asarray(MODELS[spec.model].point(s)).tobytes()  # noqa: E731
+    for orb in (o for o in orbits if key(o.start) == key(start)):
+        stop = orb.length - (orb.stop_reason != "numeric_failure")  # the step that stopped it
+        done = orb.stop_reason != "max_iter" and stop <= n_max
+        if done or orb.length > n_max:
+            reason = orb.stop_reason if done else "max_iter"
+            return replace(orb, points=orb.points[: n_max + 1].copy(), stop_reason=reason)
+    return iterate(spec, start, n_max)

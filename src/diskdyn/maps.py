@@ -22,7 +22,7 @@ in closed form from the start and the step index: w_n = w_0 + n a, and
 Re z_n = A_n + ||w_n||^2 with the margin A_n = A_0 + n Re beta, formed with the
 ``_norm2`` that the stopping rule reads back, so no rounding carries from step
 to step.  Where a = 0, z_n is z_0 + n beta and w_0 is copied, which keeps the
-sign of a zero.  Every other map is stepped one call at a time.
+sign of a zero.  Other maps step by calls, a ``HalfplanePerturbed`` grid in place.
 """
 
 from __future__ import annotations
@@ -335,6 +335,24 @@ def _fill_block(spec, t, out, *, z0, beta, w0, a):
         pt = out[j] if out.ndim > 1 else complex(out[j])
         for i in range(j + 1, m):
             out[i] = pt = spec(pt)
+
+
+def _grid_advance(spec, pts):
+    """advance(z, k), which steps a grid z of pts' shape k times in place as k calls would, or None:
+    only HalfplanePerturbed itself has one, z + b + c/(z + 1.0) as the call's ufuncs in its order."""
+    if type(spec) is not HalfplanePerturbed:
+        return None
+    bv, cv, one = (np.full(np.shape(pts), v, np.complex128) for v in (spec.b, spec.c, 1.0))
+    tmp = np.empty_like(one)
+
+    def advance(z, k):
+        for _ in range(k):
+            np.add(z, one, out=tmp)
+            np.divide(cv, tmp, out=tmp)
+            np.add(z, bv, out=z)
+            np.add(z, tmp, out=z)
+
+    return advance
 
 
 FAMILIES = {

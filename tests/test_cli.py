@@ -805,3 +805,67 @@ def test_export_outputs_match_the_recorded_hashes(tmp_path):
     assert sorted(name for _, name in recorded) == sorted(os.listdir(tmp_path))
     for digest, name in recorded:
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+def _console(command, config, out, **env):
+    """(exit code, stdout bytes, stderr bytes) of the console script run in a subprocess."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               **env)
+    proc = subprocess.run([sys.executable, "-m", "diskdyn.cli", command, "--config", config,
+                           "--out", str(out)], env=env, capture_output=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("command, config", [
+    ("steps", "export_siegel.json"),
+    ("classify", "export_siegel.json"),  # inconclusive at n_max 3000 on any stdout: exit 2
+    ("classify", "export_perturbed.json"),
+])
+def test_console_text_prints_on_an_ascii_stdout(tmp_path, command, config):
+    # "≈" on an ASCII stdout raised UnicodeEncodeError after the files were written, and
+    # main reported it as a config error, exit 1
+    config = os.path.join(DATA, config)
+    code, text, _ = _console(command, config, tmp_path / "utf8", PYTHONUTF8="1")
+    ascii_code, ascii_text, err = _console(command, config, tmp_path / "ascii", LC_ALL="C",
+                                           PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    assert "≈".encode() in text and code in (cli.EXIT_OK, cli.EXIT_INCONCLUSIVE)
+    assert ascii_code == code, err
+    assert ascii_text == text.decode().encode("ascii", "backslashreplace")
+    assert b"config error" not in err
+    assert sorted(os.listdir(tmp_path / "ascii")) == sorted(os.listdir(tmp_path / "utf8"))
+
+
+def test_text_an_output_cannot_hold_is_no_config_error(tmp_path, monkeypatch):
+    # a lone surrogate, which JSON can escape, is refused with the title's path
+    cfg = {**_AFFINE_CONFIG, "plot": {"title": "\ud800"}}
+    assert run(tmp_path, "plot", cfg) == cli.EXIT_USAGE
+    assert not (tmp_path / "plot.svg").exists()
+
+    def unencodable(path, text):
+        raise UnicodeEncodeError("ascii", text, 0, 1, "ordinal not in range(128)")
+
+    monkeypatch.setattr(cli, "write_atomic", unencodable)
+    with pytest.raises(UnicodeEncodeError):
+        run(tmp_path, "plot", _AFFINE_CONFIG)
+
+
+_AFFINE_CONFIG = {"map": {"family": "HalfplaneAffine", "lam": 1.0, "b": [1.0, 0.0]},
+                  "start": [1.0, 0.0], "n_max": 200}
+
+
+@pytest.mark.parametrize("config, commands", [
+    ("export_perturbed", ("orbit", "steps", "plot", "conjugate")),
+    ("export_disk", ("orbit",)),
+])
+def test_orbits_stepped_by_calls_match_the_recorded_hashes(tmp_path, config, commands):
+    # recorded with the console script before orbits and grids outside the translation group
+    # took one bound call per step and HalfplanePerturbed grids stepped in place
+    for command in commands:
+        assert cli.main([command, "--config", os.path.join(DATA, f"{config}.json"),
+                         "--out", str(tmp_path)]) == cli.EXIT_OK
+    with open(os.path.join(DATA, f"{config}.sha256")) as fh:
+        recorded = [line.split() for line in fh]
+    assert sorted(name for _, name in recorded) == sorted(os.listdir(tmp_path))
+    for digest, name in recorded:
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from diskdyn import conjugation, maps
+from diskdyn import conjugation, dynamics, maps
 from diskdyn.errors import PreconditionError
 
 import closed_form
@@ -224,3 +224,82 @@ def test_run_grid_overflows_without_warnings(spec, checkpoints):
         _assert_closed_form(spec, grid, 1.0, samples, ref)
     else:
         assert all(_sample_bytes(samples[n]) == _sample_bytes(ref[n]) for n in cps)
+
+
+# ---------------------------------------------------------------------------
+# the precheck's orbits serve the basepoint, and HalfplanePerturbed grids step in place
+
+
+def _record_orbits(monkeypatch):
+    log = []
+    real = dynamics.iterate
+
+    def recorded(spec, start, n_max, policy=None):
+        log.append((start, n_max))
+        return real(spec, start, n_max, policy)
+
+    monkeypatch.setattr(dynamics, "iterate", recorded)
+    return log
+
+
+@pytest.mark.parametrize("kind, basepoint, orbits", [
+    ("pommerenke", 1.0 + 0.0j, 3),
+    ("baker_pommerenke", 1.0 + 0.0j, 3),  # a default start: its precheck orbit serves
+    ("baker_pommerenke", 2.0 + 1.0j, 3),
+    ("baker_pommerenke", 1.5 + 0.25j, 4),
+])
+def test_the_conjugations_compute_each_orbit_once(monkeypatch, kind, basepoint, orbits):
+    spec = maps.HalfplanePerturbed(1.0, 0.5)
+    normalized = getattr(conjugation, f"{kind}_normalized")
+    want = normalized(spec, basepoint, checkpoints=(7, 40), precheck_n=5_000)
+    log = _record_orbits(monkeypatch)
+    got = normalized(spec, basepoint, checkpoints=(7, 40), precheck_n=5_000)
+    assert [n for _, n in log] == [5_000] * orbits
+    assert got.residual_series.tobytes() == want.residual_series.tobytes()
+    assert all(got.psi_n[n].tobytes() == want.psi_n[n].tobytes() for n in got.checkpoints)
+
+
+_NAN_GRID = np.array([2.0 + 1j, complex(np.nan, 0.5), 1.5 - 0.5j])
+
+# (spec, grid, basepoint) of HalfplanePerturbed, which _grid_advance steps in place
+ADVANCE_CASES = {
+    "default": (maps.HalfplanePerturbed(0.5 + 1j, 1.0 - 0.5j), conjugation.default_grid(), 1.0),
+    "signed_zeros": (maps.HalfplanePerturbed(complex(0.5, -0.0), complex(1.0, -0.0)),
+                     _SIGNED_GRID, _NEG),
+    "overflow": (maps.HalfplanePerturbed(1e306, 1.0), conjugation.default_grid(), 1.0),
+    "nan_point": (maps.HalfplanePerturbed(1j, 1.0), _NAN_GRID, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADVANCE_CASES))
+def test_perturbed_grids_step_in_place_as_the_calls_do(name, monkeypatch):
+    spec, grid, basepoint = ADVANCE_CASES[name]
+    ref, _ = reference_run_grid(spec, grid, basepoint, _GRID_CPS)
+    calls = []
+    call = maps.HalfplanePerturbed.__call__
+    monkeypatch.setattr(maps.HalfplanePerturbed, "__call__",
+                        lambda self, z: calls.append(z) or call(self, z))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        samples, cps = conjugation._run_grid(spec, grid, basepoint, _GRID_CPS)
+    assert len(calls) == len(cps)  # f_{n+1} at each checkpoint: every other step is in place
+    for n in cps:
+        assert _sample_bytes(samples[n]) == _sample_bytes(ref[n])
+    assert np.array_equal(grid, ADVANCE_CASES[name][1], equal_nan=True)
+
+
+class OwnPerturbed(maps.HalfplanePerturbed):
+    """A HalfplanePerturbed subclass with a __call__ of its own, z + b + c/(z + 1) + 0."""
+
+    def __call__(self, z):
+        return super().__call__(z) + 0.0
+
+
+def test_a_perturbed_subclass_steps_by_its_own_calls(monkeypatch):
+    calls = []
+    own = OwnPerturbed.__call__
+    monkeypatch.setattr(OwnPerturbed, "__call__", lambda self, z: calls.append(z) or own(self, z))
+    spec = OwnPerturbed(0.5 + 1j, 1.0)
+    assert maps._grid_advance(spec, conjugation.default_grid()) is None
+    conjugation._run_grid(spec, conjugation.default_grid(), 1.0, (3, 10))
+    assert len(calls) == 10 + 2  # one a step, and f_{n+1} at each checkpoint

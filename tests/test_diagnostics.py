@@ -494,3 +494,84 @@ def test_tail_statistics_equal_the_whole_orbit_ones_on_a_ball_orbit():
     k = max(1, int(round((orbit.length - 1) * 0.2)))
     rq = maps.MODELS[orbit.model].radial_series(orbit.points[-k - 1:], X.X)
     assert float(np.mean(np.abs(rq - 1.0))) == radial_dev
+
+
+# ---------------------------------------------------------------------------
+# the probe's precheck reads its orbits from the probe's own
+
+
+def _record_orbits(monkeypatch):
+    """The (start, n_max) of every orbit that dynamics and diagnostics compute."""
+    log = []
+    real = dynamics.iterate
+
+    def recorded(spec, start, n_max, policy=None):
+        log.append((start, n_max))
+        return real(spec, start, n_max, policy)
+
+    monkeypatch.setattr(dynamics, "iterate", recorded)
+    monkeypatch.setattr(diagnostics, "iterate", recorded)
+    return log
+
+
+def _probe_reference(spec, budgets):
+    """conjecture_probe's precheck and verdicts, each orbit computed for itself."""
+    pre = dynamics.classify(spec, budgets=dataclasses.replace(budgets, n_max=dynamics._PRECHECK_N))
+    assert pre.type == "parabolic"
+    model = geometry.MODELS[spec.model]
+    starts = [model.point(s) for s in model.starts + model.probe_starts]
+    series = [dynamics.step_series(dynamics.iterate(spec, s, budgets.n_max), budgets)
+              for s in starts]
+    return [st.verdict for st in series], [st.d_inf_estimate for st in series]
+
+
+@pytest.mark.parametrize("n_max", [dynamics._PRECHECK_N, 30_000])
+def test_the_probe_computes_each_orbit_once(monkeypatch, n_max):
+    spec, budgets = maps.HalfplanePerturbed(0.8 + 0.2j, 1.0 - 0.5j), Budgets(n_max=n_max)
+    verdicts, dinfs = _probe_reference(spec, budgets)
+    log = _record_orbits(monkeypatch)
+    rep = diagnostics.conjecture_probe(spec, budgets=budgets)
+    assert [n for _, n in log] == [n_max] * 5
+    assert [s for s, _ in log] == list(rep.starts)
+    assert list(rep.verdicts) == verdicts
+    assert [float(d).hex() for d in rep.d_inf_estimates] == [float(d).hex() for d in dinfs]
+
+
+def test_a_probe_below_the_precheck_budget_runs_the_precheck_first(monkeypatch):
+    spec, budgets = maps.HalfplanePerturbed(0.8 + 0.2j, 1.0 - 0.5j), Budgets(n_max=5_000)
+    verdicts, _ = _probe_reference(spec, budgets)
+    log = _record_orbits(monkeypatch)
+    rep = diagnostics.conjecture_probe(spec, budgets=budgets)
+    assert [n for _, n in log] == [dynamics._PRECHECK_N] * 3 + [5_000] * 5
+    assert list(rep.verdicts) == verdicts
+
+
+class MapFault(Exception):
+    pass
+
+
+class FaultBeyond:
+    """z -> z + 1 on the half-plane, raising MapFault at a point with Re z >= edge."""
+
+    model = "halfplane"
+
+    def __init__(self, edge):
+        self.edge = edge
+
+    def __call__(self, z):
+        if z.real >= self.edge:
+            raise MapFault(f"fault beyond {self.edge}")
+        return z + 1.0
+
+
+def test_a_probe_orbit_that_raises_leaves_the_errors_in_their_order(monkeypatch):
+    # the 2e4-step precheck passes and the probe's first orbit raises past it
+    log = _record_orbits(monkeypatch)
+    with pytest.raises(MapFault, match="^fault beyond 30000$"):
+        diagnostics.conjecture_probe(FaultBeyond(30_000), budgets=Budgets(n_max=40_000))
+    # the precheck ran on orbits of its own, after the one that raised
+    assert [n for _, n in log] == [40_000, 20_000, 20_000, 20_000, 40_000]
+    # a precheck that fails still comes first, whatever the longer orbits would raise
+    with pytest.raises(PreconditionError, match="need parabolic"):
+        diagnostics.conjecture_probe(FaultBeyond(30_000), budgets=Budgets(n_max=40_000,
+                                                                          tol_dw=1e-12))

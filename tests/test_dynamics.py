@@ -1492,3 +1492,134 @@ def test_the_closed_form_step_of_a_pure_translation_is_the_stored_point_formula(
     closed = dynamics.step_series(orbit).s
     stored = maps.MODELS[orbit.model].step_series(orbit.points)
     assert closed.tobytes() == stored.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# maps outside the translation group: one bound call per step, the loop's bytes
+
+
+class UserHalfplaneMap:
+    """A map of no built-in family: z -> z + 1/(z + 2) + i/4."""
+
+    model = "halfplane"
+
+    def __call__(self, z):
+        return z + 1.0 / (z + 2.0) + 0.25j
+
+
+# (spec, start): orbits that run to max_iter or stop at the boundary gap, the magnitude cap
+# (the dilation) or a fixed point (the composition, at step 112)
+BY_CALLS = {
+    "perturbed": (maps.HalfplanePerturbed(0.5 + 1j, 1.0 - 0.5j), 1.5 - 0.5j),
+    "moebius_elliptic": (maps.DiskMoebius(0.2 - 0.1j, 2.0), 0.3 + 0.4j),
+    "moebius_hyperbolic": (maps.DiskMoebius(0.5), 0.1j),
+    "affine_dilation": (maps.HalfplaneAffine(2.0, 0.5 + 1j), 1.0),
+    "composition": (maps.compose(maps.HalfplanePerturbed(1j, 1.0), maps.HalfplaneAffine(0.75, 2.0)),
+                    1.0 + 0j),
+    "conjugated": (maps.Conjugated(maps.HalfplanePerturbed(1.0, 1j)), 0.2 + 0.1j),
+    "user": (UserHalfplaneMap(), 2.0 + 1j),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BY_CALLS))
+def test_maps_stepped_by_calls_give_the_loops_orbit(name):
+    spec, start = BY_CALLS[name]
+    assert maps._block_fill(spec, start) is None
+    _assert_same(dynamics.iterate(spec, start, 20_000), _reference_loop(spec)(spec, start, 20_000))
+
+
+@pytest.mark.parametrize("model, start", [("siegel", _siegel([1.0, 0.25j])[0]),
+                                          ("halfplane", 1.0 + 0.5j)])
+@pytest.mark.parametrize("k", [1, 255, 256, 257, 20_000])
+def test_a_map_error_keeps_the_prefix_before_it(model, start, k):
+    # the error of step k comes through with its own text, and the k - 1 steps before it
+    # are those of the loop, whether k falls inside a block, on its last step or past it
+    spec = FaultAtStep(model, k)
+    ref = reference_orbit if model == "siegel" else reference_planar_orbit
+    with pytest.raises(MapFault, match=f"^fault at step {k}$"):
+        dynamics.iterate(spec, start, 2 * k)
+    if k > 1:
+        _assert_same(dynamics.iterate(spec, start, k - 1), ref(spec, start, k - 1))
+        # |z_{k-1}| passes k - 0.75: that stop, the step before the error, comes first
+        policy = StoppingPolicy(max_magnitude=k - 0.75)
+        orbit = dynamics.iterate(spec, start, 2 * k, policy)
+        assert orbit.stop_reason == "boundary_proximity" and orbit.length == k
+        _assert_same(orbit, ref(spec, start, 2 * k, policy))
+
+
+class CountedPerturbed(maps.HalfplanePerturbed):
+    """HalfplanePerturbed whose own __call__ logs each point it steps."""
+
+    def __call__(self, z):
+        _COUNTED.append(z)
+        return super().__call__(z)
+
+
+_COUNTED = []
+
+
+def test_a_subclass_that_overrides_call_takes_its_own_calls(monkeypatch):
+    spec = CountedPerturbed(0.5 + 1j, 1.0)
+    _COUNTED.clear()
+    orbit = dynamics.iterate(spec, 1.0, 1000)
+    assert len(_COUNTED) == 1000
+    _assert_same(orbit, reference_planar_orbit(maps.HalfplanePerturbed(0.5 + 1j, 1.0), 1.0, 1000))
+    # a class __call__ patched after the map was made is the one that runs
+    calls = []
+    _count_calls(monkeypatch, maps.HalfplanePerturbed, "__call__", calls)
+    dynamics.iterate(maps.HalfplanePerturbed(0.5 + 1j, 1.0), 1.0, 300)
+    assert len(calls) == 300
+
+
+# ---------------------------------------------------------------------------
+# a shorter orbit is a prefix of a longer one: the fact the prechecks read orbits from
+
+
+def _prefix_of(orbit, n):
+    """(points, stop) of the n-step orbit that a longer orbit of the same start implies."""
+    stop_step = orbit.length - (orbit.stop_reason != "numeric_failure")
+    if orbit.stop_reason != "max_iter" and stop_step <= n:
+        return orbit.points, orbit.stop_reason
+    return orbit.points[: n + 1], "max_iter"
+
+
+# (spec, start): every built-in family, group orbits the proof covers and ones it leaves to the
+# screen, and orbits that stop (at steps 1, ~40, 1001, 10000) on either side of the n below
+PREFIX_CASES = {
+    "moebius": (maps.DiskMoebius(0.2 - 0.1j, 2.0), 0.3 + 0.4j),
+    "moebius_boundary": (maps.DiskMoebius(0.5), 0.1j),
+    "affine": (maps.HalfplaneAffine(1.0, 0.5 + 1j), 1.0),
+    "affine_magnitude": (maps.HalfplaneAffine(1.0, 1e9), 1.0),
+    "affine_dilation": (maps.HalfplaneAffine(2.0, 1.0), 1.0),
+    "perturbed": (maps.HalfplanePerturbed(0.8 + 0.2j, 1.0 - 0.5j), 1.0),
+    "siegel": (maps.SiegelTranslation(1.0), _siegel([1.0, 0.3])[0]),
+    "siegel_magnitude": (maps.SiegelTranslation(1e8), _siegel([1.0, 0.3])[0]),
+    "heisenberg": (maps.HeisenbergTranslation((0.3 + 0.4j,), 1.0), _siegel([1.5, 0.2 - 0.1j])[0]),
+    "identity": (maps.Identity("disk"), 0.5j),
+    "composition": (maps.compose(maps.SiegelTranslation(0.5), maps.HeisenbergTranslation((0.25,))),
+                    _siegel([1.5, 0.2])[0]),
+    "conjugated": (maps.Conjugated(maps.SiegelTranslation(1.0)), _siegel([0.2 + 0.1j, 0.3])[0]),
+    "nan": (PlanarNanBeyond(1001.0), 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PREFIX_CASES))
+def test_a_shorter_orbit_is_the_prefix_of_a_longer_one(name):
+    spec, start = PREFIX_CASES[name]
+    longer = dynamics.iterate(spec, start, 20_000)
+    for n in (0, 1, 40, 255, 256, 1000, 1001, 5000, 15_000):
+        orbit = dynamics.iterate(spec, start, n)
+        _assert_same(orbit, _prefix_of(longer, n))
+        _assert_same(dynamics._orbit_from([longer], spec, start, n), _prefix_of(longer, n))
+    wider = dynamics.iterate(spec, start, 30_000)  # where longer ran out, it serves no more
+    _assert_same(dynamics._orbit_from([longer], spec, start, 30_000),
+                 (wider.points, wider.stop_reason))
+
+
+def test_an_orbit_serves_only_its_own_start():
+    # the identity keeps the sign of a zero, so equal starts of other bytes have other orbits
+    spec, other = maps.Identity("halfplane"), complex(1.0, -0.0)
+    longer = dynamics.iterate(spec, 1.0 + 0j, 100)
+    got = dynamics._orbit_from([longer], spec, other, 10)
+    assert got.points.tobytes() == dynamics.iterate(spec, other, 10).points.tobytes()
+    assert got.points.tobytes() != longer.points.tobytes()
