@@ -15,6 +15,7 @@ _K = 250  # the power table holds 10^k for |k| <= _K
 _SPLIT = 134217729.0  # 2^27 + 1: Dekker's splitter for doubles
 _TIE = 1e-9  # fractions this close to 1/2 are rounded by format itself
 _DOT, _ZERO, _MINUS = 46, 48, 45
+CHUNK = 8192  # lines of text per matrix of cells: the CSV and SVG writers join this many at once
 
 
 @functools.cache
@@ -176,11 +177,18 @@ def _f6(x):
 
 
 def cells(x, fmt: str) -> np.ndarray:
-    """(len(x), width) uint8 cells of x in fmt: ".17g", ".6f" or "d" (integers < 10^17)."""
+    """(len(x), width) uint8 cells of x in fmt: ".17g", ".6f" or "d" (integers < 10^17).
+    A run of equal bit patterns (so -0.0 is not 0.0, nor one NaN another) is formatted once."""
     x = np.asarray(x).ravel()
     if fmt == "d":
         return _fixed(x.astype(np.int64), np.zeros(x.size, bool), 0)
-    return {".17g": _g17, ".6f": _f6}[fmt](np.asarray(x, np.float64))
+    x, cell = np.asarray(x, np.float64), {".17g": _g17, ".6f": _f6}[fmt]
+    bits = x.view(np.int64)
+    new = bits[1:] != bits[:-1]
+    if new.all():
+        return cell(x)
+    first = np.flatnonzero(np.concatenate([[True], new]))
+    return np.repeat(cell(x[first]), np.diff(first, append=x.size), axis=0)
 
 
 def join(parts) -> str:
@@ -189,9 +197,10 @@ def join(parts) -> str:
     rows = max(len(p) for p in parts if isinstance(p, np.ndarray))
     parts = [(p, len(p)) if isinstance(p, np.ndarray) else (np.frombuffer(p, np.uint8), rows)
              for p in parts]
-    mat = np.zeros((rows, sum(p.shape[-1] for p, _ in parts)), np.uint8)
+    mat = np.empty((rows, sum(p.shape[-1] for p, _ in parts)), np.uint8)
     at = 0
     for p, k in parts:
         mat[:k, at:at + p.shape[-1]] = p
+        mat[k:, at:at + p.shape[-1]] = 0
         at += p.shape[-1]
     return str(mat[mat != 0], "utf-8")

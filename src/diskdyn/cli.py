@@ -3,8 +3,10 @@
 Every command reads a single JSON experiment config (``--config``) and writes
 its outputs under ``--out``; CSV output is comma-delimited with '.' decimals and
 17 significant digits, written column-wise byte for byte as ``format(x, ".17g")``
-(``_decimal``).  Configs are read, and outputs written, as UTF-8 with ``\\n`` line
-ends on every locale.  Exit codes: 0 success, 1 usage / bad config,
+(``_decimal``): ``_decimal.CHUNK`` lines at a time, each run of equal values in a
+column formatted once.  Configs are read, and outputs written, as UTF-8 with ``\\n``
+line ends on every locale; ``write_atomic`` encodes a file 2^20 characters at a time
+and gives it the mode ``open`` would.  Exit codes: 0 success, 1 usage / bad config,
 2 inconclusive verdict or failed harness row, 3 numeric failure.
 
 ``main`` checks the whole config before any command runs.  A key that no
@@ -48,7 +50,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_NUMERIC = 3
-_CHUNK = 8192  # CSV lines per matrix of cells
+_SLICE = 2**20  # characters encoded at a time by write_atomic
 
 
 def _fmt(x: float) -> str:
@@ -56,13 +58,21 @@ def _fmt(x: float) -> str:
 
 
 def write_atomic(path: str, text: str) -> None:
-    """text written to path as UTF-8, newlines as they are, through a temp file and a rename."""
+    """text written to path as UTF-8, newlines as they are, through a temp file and a rename.
+
+    The text is encoded _SLICE characters at a time, so no file-size bytes object is built; text
+    UTF-8 cannot hold raises UnicodeEncodeError and leaves no temp file.  The file gets the mode
+    open(path, "w") gives a new file, 0o666 less the umask."""
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
+    umask = os.umask(0o077)  # read by setting it; no file is made under the value set
+    os.umask(umask)
+    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")  # mode 0o600
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(text.encode("utf-8"))
+            os.fchmod(fd, 0o666 & ~umask)
+            for i in range(0, len(text), _SLICE):
+                fh.write(text[i:i + _SLICE].encode("utf-8"))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -201,15 +211,16 @@ def _orbit_columns(orbit, *series) -> tuple:
 def _write_columns(path: str, header, cols) -> None:
     """The CSV of cols side by side; a column shorter than the longest ends in empty cells."""
     from . import _decimal  # compiled on first use, not by every import of the cli
-    text = [",".join(header) + "\n"]
-    for i in range(0, max(map(len, cols), default=0), _CHUNK):
+    text, step = [",".join(header) + "\n"], _decimal.CHUNK
+    for i in range(0, max(map(len, cols), default=0), step):
         parts = []
         for c in cols:
             fmt = "d" if c.dtype.kind in "iu" else ".17g"
-            parts += [_decimal.cells(c[i:i + _CHUNK], fmt), b","]
+            parts += [_decimal.cells(c[i:i + step], fmt), b","]
         parts[-1] = b"\n"
         text.append(_decimal.join(parts))
-    write_atomic(path, "".join(text))
+    text = "".join(text)  # the chunks go before the file is written
+    write_atomic(path, text)
 
 
 def _write_csv(path: str, header, lines) -> None:

@@ -343,14 +343,14 @@ def _grid_advance(spec, pts):
     if type(spec) is not HalfplanePerturbed:
         return None
     bv, cv, one = (np.full(np.shape(pts), v, np.complex128) for v in (spec.b, spec.c, 1.0))
-    tmp = np.empty_like(one)
+    tmp, add, divide = np.empty_like(one), np.add, np.divide
 
     def advance(z, k):
-        for _ in range(k):
-            np.add(z, one, out=tmp)
-            np.divide(cv, tmp, out=tmp)
-            np.add(z, bv, out=z)
-            np.add(z, tmp, out=z)
+        for _ in range(k):  # bound ufuncs, out passed positionally: the grid is small, calls count
+            add(z, one, tmp)
+            divide(cv, tmp, tmp)
+            add(z, bv, z)
+            add(z, tmp, z)
 
     return advance
 

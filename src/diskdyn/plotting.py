@@ -1,4 +1,7 @@
-"""Deterministic SVG rendering of orbits in the unit-disk cross-section."""
+"""Deterministic SVG rendering of orbits in the unit-disk cross-section.
+
+The text is pieces joined once: the polyline and markers from ``_decimal`` cells, in chunks of
+``_decimal.CHUNK`` lines, so the whole text is never copied on the way."""
 
 from __future__ import annotations
 
@@ -34,26 +37,33 @@ def render_orbit_svg(
     Pure function of its arguments; identical inputs give identical bytes.
     """
     from . import _decimal  # compiled on first use, not by every import of plotting
-    out = [
+    out = [  # the text in pieces, joined once at the end
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE:g}" height="{_SIZE:g}" '
-        f'viewBox="0 0 {_SIZE:g} {_SIZE:g}">',
-        f'<rect width="{_SIZE:g}" height="{_SIZE:g}" fill="white"/>',
+        f'viewBox="0 0 {_SIZE:g} {_SIZE:g}">\n',
+        f'<rect width="{_SIZE:g}" height="{_SIZE:g}" fill="white"/>\n',
         f'<circle cx="{_fmt(_CENTER)}" cy="{_fmt(_CENTER)}" r="{_fmt(_SCALE)}" '
-        'fill="none" stroke="black" stroke-width="1"/>',
+        'fill="none" stroke="black" stroke-width="1"/>\n',
     ]
     if title:  # XML-escaped as xml.sax.saxutils.escape does, without its urllib imports
         title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-        out.append(f'<text x="10" y="20" font-size="14">{title}</text>')
+        out.append(f'<text x="10" y="20" font-size="14">{title}</text>\n')
     pts = np.atleast_1d(np.asarray(disk_pts, np.complex128))
     # every point's canvas coordinates at once, each formatted once
     x, y = _CENTER + _SCALE * pts.real, _CENTER - _SCALE * pts.imag
     xs, ys = _decimal.cells(x, ".6f"), _decimal.cells(y, ".6f")
     n = len(pts)
+
+    def rows(a, b, *parts):
+        """Lines a..b of the points, laid out as parts say, _decimal.CHUNK lines at a time."""
+        for i in range(a, b, _decimal.CHUNK):
+            j = min(i + _decimal.CHUNK, b)
+            out.append(_decimal.join([p[i:j] if isinstance(p, np.ndarray) else p for p in parts]))
+
     if n >= 2:
-        coords = _decimal.join([xs, b",", ys, b" "])[:-1]
-        out.append(
-            f'<polyline points="{coords}" fill="none" stroke="steelblue" stroke-width="0.8"/>'
-        )
+        out.append('<polyline points="')
+        space = np.full((n - 1, 1), ord(" "), np.uint8)  # between the points, not after them
+        rows(0, n, xs, b",", ys, space)
+        out.append('" fill="none" stroke="steelblue" stroke-width="0.8"/>\n')
     if n:
         # steelblue markers, then the highlighted tail, then the last point
         tail = min(n - 1, max(0, n - tail_highlight) if tail_highlight else n)
@@ -61,17 +71,16 @@ def render_orbit_svg(
                 (tail, n - 1, marker_size * 1.0, "darkorange"),
                 (n - 1, n, marker_size * 1.6, "crimson"))
         for a, b, r, color in runs:
-            if b > a:
-                end = f'" r="{_fmt(r)}" fill="{color}"/>\n'.encode()
-                out.append(_decimal.join([b'<circle cx="', xs[a:b], b'" cy="', ys[a:b], end])[:-1])
+            end = f'" r="{_fmt(r)}" fill="{color}"/>\n'.encode()
+            rows(a, b, b'<circle cx="', xs, b'" cy="', ys, end)
         out.append(
             f'<circle cx="{_fmt(x[0])}" cy="{_fmt(y[0])}" r="{_fmt(marker_size * 1.6)}" '
-            'fill="none" stroke="seagreen" stroke-width="1.2"/>'
+            'fill="none" stroke="seagreen" stroke-width="1.2"/>\n'
         )
     dx, dy = _CENTER + _SCALE * complex(dw).real, _CENTER - _SCALE * complex(dw).imag
     out.append(
         f'<circle cx="{_fmt(dx)}" cy="{_fmt(dy)}" r="{_fmt(marker_size * 2.0)}" '
-        'fill="none" stroke="black" stroke-width="1.5"/>'
+        'fill="none" stroke="black" stroke-width="1.5"/>\n'
     )
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    out.append("</svg>\n")
+    return "".join(out)

@@ -716,6 +716,9 @@ def _writer_orbits():
         pts = _complex(_sprinkled(rng, shape), _sprinkled(rng, shape))
         orbits.append(dynamics.Orbit(None, model, None, pts, "max_iter"))
     orbits.append(dynamics.iterate(maps.HalfplaneAffine(1.0, 0.3 - 0.7j), complex(1.0, -0.0), 500))
+    # past two chunks of lines, with a w no step moves: three of its columns are one value
+    orbits.append(dynamics.iterate(maps.SiegelTranslation(0.375), np.array([1.25, 0.5 - 0.25j]),
+                                   16_500))
     return orbits
 
 
@@ -869,3 +872,66 @@ def test_orbits_stepped_by_calls_match_the_recorded_hashes(tmp_path, config, com
     assert sorted(name for _, name in recorded) == sorted(os.listdir(tmp_path))
     for digest, name in recorded:
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_long_exports_match_the_recorded_hashes(tmp_path):
+    # recorded with the console script before constant columns were formatted once, SVG lines
+    # joined in chunks and files encoded in slices; 20,000 steps cross the chunk edges
+    for command in ("orbit", "steps", "approach", "plot"):
+        assert cli.main([command, "--config", os.path.join(DATA, "export_long.json"),
+                         "--out", str(tmp_path)]) == cli.EXIT_OK
+    with open(os.path.join(DATA, "export_long.sha256")) as fh:
+        recorded = [line.split() for line in fh]
+    assert sorted(name for _, name in recorded) == sorted(os.listdir(tmp_path))
+    for digest, name in recorded:
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+def _spread_text(length):
+    """length characters with two- to four-byte UTF-8 characters at both ends and on every
+    slice edge."""
+    text = list("0123456789abcdef" * (length // 16 + 1))[:length]
+    for edge in [*range(0, length, cli._SLICE), length]:
+        for i, c in zip((edge - 2, edge - 1, edge, edge + 1), "é≈𝔻é"):
+            if 0 <= i < length:
+                text[i] = c
+    return "".join(text)
+
+
+@pytest.mark.parametrize("length", [0, 2**20 - 1, 2**20, 2**20 + 1, 3 * 2**20 + 7])
+def test_write_atomic_writes_the_text_as_utf8_in_slices(tmp_path, length):
+    assert cli._SLICE == 2**20
+    text = _spread_text(length)
+    path = tmp_path / "out.txt"
+    cli.write_atomic(str(path), text)
+    assert path.read_bytes() == text.encode("utf-8")
+    assert os.listdir(tmp_path) == ["out.txt"]
+
+
+@pytest.mark.parametrize("at", [0, 2**20 + 5])
+def test_text_utf8_cannot_hold_leaves_no_file(tmp_path, at):
+    text = _spread_text(2 * 2**20)
+    text = text[:at] + "\ud800" + text[at + 1:]  # a lone surrogate, in the first or second slice
+    with pytest.raises(UnicodeEncodeError):
+        cli.write_atomic(str(tmp_path / "out.txt"), text)
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_outputs_get_the_mode_open_gives_a_new_file(tmp_path, umask):
+    # the temp file's 0o600 went with it through the rename, whatever the umask
+    old = os.umask(umask)
+    try:
+        with open(tmp_path / "by_open.txt", "w"):
+            pass
+        assert run(tmp_path, "orbit", _AFFINE_CONFIG) == cli.EXIT_OK
+        cli.write_atomic(str(tmp_path / "nested" / "new.txt"), "x\n")
+        with pytest.raises(UnicodeEncodeError):
+            cli.write_atomic(str(tmp_path / "nested" / "bad.txt"), "\ud800")
+        assert os.umask(umask) == umask  # write_atomic left the umask as it found it
+    finally:
+        os.umask(old)
+    want = 0o666 & ~umask
+    for name in ("by_open.txt", "orbit.csv", "nested/new.txt"):
+        assert (tmp_path / name).stat().st_mode & 0o777 == want, name
+    assert os.listdir(tmp_path / "nested") == ["new.txt"]

@@ -124,3 +124,46 @@ def test_join_lays_constants_between_the_cells():
     text = _decimal.join([b"<", _decimal.cells(x, ".17g"), b"|", _decimal.cells(x, ".6f"), b">\n"])
     assert text == "<0.25|0.250000>\n<-1.0000000000000001e-05|-0.000010>\n" \
                    "<1e+22|10000000000000000000000.000000>\n"
+
+
+def _bits(*patterns):
+    return np.array(patterns, np.uint64).view(np.float64)
+
+
+def _run_heavy_columns():
+    """Columns of runs of equal values, as the CSV and SVG writers meet them."""
+    rng = np.random.default_rng(40)
+    edge = _decimal.CHUNK
+    nans = _bits(0x7FF8000000000001, 0x7FF8000000000002, 0xFFF8000000000000)  # two payloads, -nan
+    across = np.repeat(rng.normal(size=7) * 1e3, [edge - 3, 5, 1, edge, 2, 3, edge + 1])
+    return {
+        "constant": np.full(100_001, 250.0 + 220.0 / 3.0),
+        "across a chunk edge": across,
+        "zeros of both signs": np.repeat([0.0, -0.0, 0.0, -0.0, 1.5, -0.0], [3, 1, 1, 4, 2, 1]),
+        "nan payloads": np.repeat(np.concatenate([nans, nans[::-1], [1.0]]), [2, 1, 3, 1, 4, 1, 2]),
+        "infinities": np.repeat([np.inf, -np.inf, np.inf, 2.0, -np.inf], [4, 4, 1, 1, 3]),
+        "a run at the end": np.concatenate([rng.normal(size=50) * 1e-7, np.full(30, -1e11 / 3.0)]),
+        "one value": np.array([-0.1]),
+        "equal neighbours now and then": np.repeat(rng.normal(size=3000), rng.integers(1, 3, 3000)),
+    }
+
+
+@pytest.mark.parametrize("fmt", [".17g", ".6f"])
+@pytest.mark.parametrize("name", sorted(_run_heavy_columns()))
+def test_runs_of_equal_values_format_like_python(name, fmt):
+    x = _run_heavy_columns()[name]
+    _assert_formats_like_python(x, fmt)
+    # as the CSV writer cuts a column, chunk by chunk
+    chunks = [_text(x[i:i + _decimal.CHUNK], fmt) for i in range(0, x.size, _decimal.CHUNK)]
+    assert "".join(chunks) == _text(x, fmt)
+
+
+def test_a_run_is_formatted_once(monkeypatch):
+    formatted = []
+    g17 = _decimal._g17
+    monkeypatch.setattr(_decimal, "_g17", lambda x: formatted.append(x.size) or g17(x))
+    x = np.repeat([0.0, -0.0, 0.0, 3.5, np.nan], [100_000, 1, 1, 7, 2])
+    assert _text(x, ".17g") == "0\n" * 100_000 + "-0\n0\n" + "3.5\n" * 7 + "nan\n" * 2
+    distinct = np.arange(10.0)
+    _text(distinct, ".17g")
+    assert formatted == [5, 10]  # one value a run; distinct values as they come

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from diskdyn import dynamics, maps, plotting
+from diskdyn import _decimal, dynamics, maps, plotting
 
 
 def test_orbit_disk_coords_models():
@@ -131,7 +131,13 @@ def _svg_inputs():
     odd.imag = [-0.0, -0.0, 2.5e-310, np.nan, -np.inf, 1e12, 0.25, 0.0, -0.0, -1e-7, 3e11,
                 -1.0 / 7.0]
     orbit = dynamics.iterate(maps.HalfplaneAffine(1.0, 0.3 - 0.7j), complex(1.0, -0.0), 2000)
+    # 20,000 points, more than two chunks of lines: runs of one point, then a constant y
+    long = np.empty(20_000, np.complex128)
+    long[:9_700] = np.repeat(disk[:100], 97)
+    long[9_700:] = np.linspace(-0.9, 0.9, 10_300) + 0.1j
     return {
+        "long": long,
+        "two": disk[:2],
         "disk": disk,
         "odd": odd,
         "one": np.array([0.25 - 0.5j]),
@@ -152,3 +158,12 @@ def test_svg_matches_the_point_loop(name):
         for kwargs in ({}, {"marker_size": 0.7, "dw": -0.5 + 0.25j, "title": "t"}):
             got = plotting.render_orbit_svg(pts, tail_highlight=tail, **kwargs)
             assert got == reference_render_orbit_svg(pts, tail_highlight=tail, **kwargs)
+
+
+@pytest.mark.parametrize("title", ["", "t"])
+def test_svg_matches_the_point_loop_at_the_chunk_edges(title):
+    pts = SVG_INPUTS["long"]
+    edge = _decimal.CHUNK
+    for tail in (edge - 1, edge, edge + 1, pts.size - edge):
+        got = plotting.render_orbit_svg(pts, tail_highlight=tail, title=title)
+        assert got == reference_render_orbit_svg(pts, tail_highlight=tail, title=title)
